@@ -142,5 +142,5 @@ val check_reachable : t -> (int * int) list
 (** Host-side heap-integrity walk: follow every reference reachable from
     the mutator roots and globals and return the (referrer, address)
     pairs that no longer look like valid objects.  Empty on a sound
-    heap.  Used by the tests and by [CGC_VERIFY=1] (which runs it after
-    every collection and aborts on corruption). *)
+    heap.  The tests use it as their heap-integrity oracle; a run checks
+    its heap with [Config.verify] ([--verify]) instead. *)

@@ -65,3 +65,20 @@ let mode_of_name = function
   | "cgc" -> Some Cgc
   | "gen" -> Some Gen
   | _ -> None
+
+(* The one rule for which option combinations are legal; the CLI, the
+   collector and the configuration fuzzer all ask it. *)
+let validate c =
+  let excludes a b why = Error (Printf.sprintf "%s excludes %s (%s)" a b why) in
+  if c.compaction && c.lazy_sweep then
+    excludes "--compaction" "--lazy-sweep" "compaction requires in-pause sweep"
+  else if c.compaction && c.load_balance = Stealing then
+    excludes "--compaction" "work stealing"
+      "compaction requires the packet tracer"
+  else if c.mode = Gen && c.compaction then
+    excludes "--gc gen" "--compaction"
+      "the compactor would evacuate across the nursery boundary"
+  else if c.mode = Gen && c.lazy_sweep then
+    excludes "--gc gen" "--lazy-sweep"
+      "the lazy cursor would fold the nursery into the free list"
+  else Ok ()

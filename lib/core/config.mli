@@ -68,3 +68,9 @@ val mode_name : mode -> string
 
 val mode_of_name : string -> mode option
 (** Inverse of {!mode_name}. *)
+
+val validate : t -> (unit, string) result
+(** The legal combinations: compaction excludes lazy sweep and work
+    stealing, and [Gen] mode excludes compaction and lazy sweep.  The
+    error names the clashing [cgcsim] flags.  {!Collector.create} raises
+    [Invalid_argument] with this message. *)

@@ -83,5 +83,3 @@ val corruptions : t -> int
 
 val reset_cycle : t -> unit
 
-val live_sessions : t -> int
-(** Number of registered (unreleased) sessions — diagnostics. *)

@@ -10,6 +10,7 @@ val setup :
   ?ncpus:int ->
   ?seed:int ->
   ?trace:bool ->
+  ?trace_ring:int ->
   ?n_background:int ->
   unit ->
   Cgc_runtime.Vm.t
@@ -20,6 +21,7 @@ val run :
   ?ncpus:int ->
   ?seed:int ->
   ?trace:bool ->
+  ?trace_ring:int ->
   ?ms:float ->
   unit ->
   Cgc_runtime.Vm.t

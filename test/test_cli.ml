@@ -2,7 +2,10 @@
    codes are exactly 0-7 with unique names, and the README's exit-code
    table between the markers is the literal output of markdown_table —
    so the binary, `cgcsim exit-codes --markdown` and the docs can never
-   drift apart. *)
+   drift apart.  The built cgcsim binary is then driven over a table of
+   bad inputs: each must end in a usage error naming the offending flag,
+   never in an uncaught exception, and every subcommand's --help must
+   document exactly the codes of that table. *)
 
 module Exit_codes = Cgc_cli.Exit_codes
 
@@ -79,23 +82,112 @@ let test_readme_table_in_sync () =
         block
   | _ -> Alcotest.fail "README.md is missing the exit-codes markers"
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let test_markdown_rows () =
   let table = Exit_codes.markdown_table () in
   List.iter
     (fun (c : Exit_codes.code) ->
       let cell = Printf.sprintf "| %d | `%s` |" c.Exit_codes.value
           c.Exit_codes.name in
-      let found =
-        let nl = String.length cell and hl = String.length table in
-        let rec go i =
-          i + nl <= hl
-          && (String.sub table i nl = cell || go (i + 1))
-        in
-        go 0
-      in
       check cb (Printf.sprintf "table has a row for %s" c.Exit_codes.name)
-        true found)
+        true (contains table cell))
     Exit_codes.all
+
+(* Under `dune runtest` the binary is a declared dep at
+   ../bin/cgcsim.exe; under `dune exec` from the repo root it is in the
+   build tree. *)
+let cgcsim =
+  lazy
+    (match
+       List.find_opt Sys.file_exists
+         [ "../bin/cgcsim.exe"; "_build/default/bin/cgcsim.exe" ]
+     with
+    | Some path -> path
+    | None -> Alcotest.fail "cgcsim.exe not found")
+
+(* Run cgcsim with [args]; the exit code, stdout and stderr. *)
+let cgcsim_run args =
+  let out = Filename.temp_file "cgcsim" ".out" in
+  let err = Filename.temp_file "cgcsim" ".err" in
+  let code =
+    Sys.command
+      (Filename.quote_command (Lazy.force cgcsim) args ~stdout:out ~stderr:err)
+  in
+  let stdout = read_file out and stderr = read_file err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, stdout, stderr)
+
+(* Each row: the command line and the flag its error message must name. *)
+let bad_inputs () =
+  let trace = Filename.concat (Filename.get_temp_dir_name ()) "cgcsim-bad.json" in
+  [
+    ([ "serve"; "--heap-mb"; "0" ], "--heap-mb");
+    ([ "run"; "--heap-mb"; "0" ], "--heap-mb");
+    ([ "cluster"; "--heap-mb"; "0" ], "--heap-mb");
+    ([ "run"; "--ncpus"; "0" ], "--ncpus");
+    ([ "cluster"; "--ncpus"; "0" ], "--ncpus");
+    ([ "serve"; "--trace-ring"; "0"; "--trace-out"; trace ], "--trace-ring");
+    ([ "run"; "--packets"; "1" ], "--packets");
+    ([ "run"; "--compaction"; "--lazy-sweep" ], "--lazy-sweep");
+    ([ "run"; "--gc"; "gen"; "--compaction" ], "--compaction");
+    ([ "run"; "--workload"; "pbob"; "--warehouses"; "500" ], "--warehouses");
+    ([ "serve"; "--burst"; "0,0,0" ], "--burst");
+    ([ "serve"; "--rate"; "-1" ], "-1");
+    ([ "cluster"; "--jobs"; "0" ], "--jobs");
+    ([ "analyze"; "--workload"; "specjbb" ], "--workload");
+  ]
+
+let test_bad_inputs_exit_usage () =
+  List.iter
+    (fun (args, flag) ->
+      let cmd = String.concat " " args in
+      let code, _, stderr = cgcsim_run args in
+      check cb
+        (Printf.sprintf "%s: exit %d is in the table" cmd code)
+        true
+        (List.exists (fun c -> c.Exit_codes.value = code) Exit_codes.all);
+      check ci (cmd ^ ": usage error") Exit_codes.usage code;
+      check cb (cmd ^ ": no uncaught exception") false
+        (contains stderr "uncaught exception");
+      check cb (Printf.sprintf "%s: message names %s" cmd flag) true
+        (contains stderr flag))
+    (bad_inputs ())
+
+(* The numbered entries of the EXIT STATUS section of --help=plain. *)
+let documented_exits help =
+  let lines = String.split_on_char '\n' help in
+  let rec skip = function
+    | [] -> []
+    | l :: rest -> if l = "EXIT STATUS" then rest else skip rest
+  in
+  let rec take acc = function
+    | l :: rest when l = "" || l.[0] = ' ' ->
+        let acc =
+          match String.split_on_char ' ' (String.trim l) with
+          | n :: _ -> (
+              match int_of_string_opt n with Some v -> v :: acc | None -> acc)
+          | [] -> acc
+        in
+        take acc rest
+    | _ -> List.rev acc
+  in
+  take [] (skip lines)
+
+let test_help_lists_exit_codes () =
+  List.iter
+    (fun sub ->
+      let code, help, _ = cgcsim_run [ sub; "--help=plain" ] in
+      check ci (sub ^ " --help exits 0") Exit_codes.ok code;
+      check (Alcotest.list ci)
+        (sub ^ " --help documents exactly the exit-code table")
+        (List.map (fun c -> c.Exit_codes.value) Exit_codes.all)
+        (documented_exits help))
+    [ "run"; "serve"; "cluster"; "analyze"; "experiment"; "exit-codes" ]
 
 let () =
   Alcotest.run "cli"
@@ -109,5 +201,12 @@ let () =
           Alcotest.test_case "markdown rows" `Quick test_markdown_rows;
           Alcotest.test_case "README in sync" `Quick
             test_readme_table_in_sync;
+        ] );
+      ( "cgcsim",
+        [
+          Alcotest.test_case "bad inputs exit usage" `Quick
+            test_bad_inputs_exit_usage;
+          Alcotest.test_case "help lists the exit codes" `Quick
+            test_help_lists_exit_codes;
         ] );
     ]

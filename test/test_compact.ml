@@ -143,7 +143,9 @@ let test_config_guards () =
   let bad = { Config.default with Config.compaction = true; lazy_sweep = true } in
   let vm_cfg = Vm.config ~heap_mb:4.0 ~gc:bad () in
   Alcotest.check_raises "compaction + lazy sweep rejected"
-    (Invalid_argument "Collector.create: compaction requires in-pause sweep")
+    (Invalid_argument
+       "Collector.create: --compaction excludes --lazy-sweep (compaction \
+        requires in-pause sweep)")
     (fun () -> ignore (Vm.create vm_cfg))
 
 (* End-to-end: churn under compaction; structures stay intact and objects

@@ -1,10 +1,10 @@
-(* Configuration fuzzing: random combinations of heap size, CPU count,
-   collector mode and features (tracing rate, packets, lazy sweep,
-   compaction, card passes, fence policy, memory model) each run a churn
-   workload briefly; afterwards the reachable heap must be fully intact
-   and the tracer must have observed no corruption.  This is the
-   failure-injection net that catches interactions the targeted tests
-   miss. *)
+(* Configuration fuzzing: random legal combinations of heap size, CPU
+   count, collector (stw, cgc or gen) and features (tracing rate,
+   packets, lazy sweep, compaction, card passes, fence policy, memory
+   model) each run a churn workload briefly; afterwards the reachable
+   heap must be fully intact and the tracer must have observed no
+   corruption.  This is the failure-injection net that catches
+   interactions the targeted tests miss. *)
 
 module Vm = Cgc_runtime.Vm
 module Mutator = Cgc_runtime.Mutator
@@ -49,48 +49,56 @@ let churn resident m =
     Mutator.tx_done m
   done
 
+(* Every legal configuration of all three collectors: raw draws are
+   filtered through [Config.validate], the same rule the CLI and
+   [Collector.create] apply. *)
 let gen =
-  QCheck.Gen.(
-    let* heap_mb = oneofl [ 2.0; 4.0; 8.0 ] in
-    let* ncpus = int_range 1 6 in
-    let* workers = int_range 1 6 in
-    let* mode = oneofl [ Config.Cgc; Config.Stw ] in
-    let* k0 = oneofl [ 1.0; 4.0; 8.0; 12.0 ] in
-    let* n_packets = oneofl [ 8; 64; 1000 ] in
-    let* capacity = oneofl [ 4; 64; 493 ] in
-    let* n_background = int_range 0 3 in
-    let* card_passes = int_range 1 2 in
-    let* lazy_sweep = bool in
-    let* compaction = bool in
-    let* stealing = bool in
-    let* relaxed = bool in
-    let* naive = bool in
-    (* a random subset of fault scenarios (bit i of the mask = scenario
-       i armed); armed runs also turn the cycle-boundary verifier on *)
-    let* fault_mask = int_range 0 63 in
-    let* seed = int_range 1 1000 in
-    return
-      ( heap_mb,
-        ncpus,
-        workers,
-        {
-          Config.default with
-          Config.mode;
-          k0;
-          n_packets;
-          packet_capacity = capacity;
-          n_background;
-          card_passes;
-          (* lazy sweep and compaction are mutually exclusive; stealing is
-             only a baseline-mode load balancer and excludes compaction *)
-          lazy_sweep = lazy_sweep && not compaction;
-          compaction = compaction && not stealing;
-          load_balance = (if stealing then Config.Stealing else Config.Packets);
-        },
-        relaxed,
-        naive,
-        fault_mask,
-        seed ))
+  let raw =
+    QCheck.Gen.(
+      let* heap_mb = oneofl [ 2.0; 4.0; 8.0 ] in
+      let* ncpus = int_range 1 6 in
+      let* workers = int_range 1 6 in
+      let* mode = oneofl [ Config.Cgc; Config.Stw; Config.Gen ] in
+      let* k0 = oneofl [ 1.0; 4.0; 8.0; 12.0 ] in
+      let* n_packets = oneofl [ 8; 64; 1000 ] in
+      let* capacity = oneofl [ 4; 64; 493 ] in
+      let* n_background = int_range 0 3 in
+      let* card_passes = int_range 1 2 in
+      let* lazy_sweep = bool in
+      let* compaction = bool in
+      let* stealing = bool in
+      let* relaxed = bool in
+      let* naive = bool in
+      (* a random subset of fault scenarios (bit i of the mask = scenario
+         i armed); armed runs also turn the cycle-boundary verifier on *)
+      let* fault_mask = int_range 0 63 in
+      let* seed = int_range 1 1000 in
+      return
+        ( heap_mb,
+          ncpus,
+          workers,
+          {
+            Config.default with
+            Config.mode;
+            k0;
+            n_packets;
+            packet_capacity = capacity;
+            n_background;
+            card_passes;
+            lazy_sweep;
+            compaction;
+            load_balance = (if stealing then Config.Stealing else Config.Packets);
+          },
+          relaxed,
+          naive,
+          fault_mask,
+          seed ))
+  in
+  let rec legal st =
+    let ((_, _, _, gc, _, _, _, _) as draw) = raw st in
+    if Config.validate gc = Ok () then draw else legal st
+  in
+  legal
 
 let scenarios_of_mask mask =
   List.filter (fun s -> mask land (1 lsl Fault.index s) <> 0) Fault.all
