@@ -140,5 +140,12 @@ val all_codes : code list
 (** Every code, in declaration order — lets docs and tests enumerate the
     catalogue without chasing the variant. *)
 
+val index : code -> int
+(** A code's position in {!all_codes}, for per-code tallies kept in a
+    flat array of length {!n_codes} instead of a hash table. *)
+
+val n_codes : int
+(** [List.length all_codes]. *)
+
 val of_name : string -> code option
 (** Inverse of {!name} — used by the trace re-parser. *)

@@ -8,42 +8,162 @@ type trace_meta = {
   dropped : int;
 }
 
-let add_event b ~cycles_per_us i (e : Event.t) =
-  if i > 0 then Buffer.add_char b ',';
-  Buffer.add_string b "\n{\"name\":\"";
-  Buffer.add_string b (Event.name e.code);
-  Buffer.add_string b "\",\"cat\":\"";
-  Buffer.add_string b (Event.cat e.code);
-  if Event.instant e then
-    (* Thread-scoped instant event. *)
-    Buffer.add_string b "\",\"ph\":\"i\",\"s\":\"t\""
-  else begin
-    Buffer.add_string b "\",\"ph\":\"X\",\"dur\":";
-    Buffer.add_string b (Printf.sprintf "%.3f" (us ~cycles_per_us e.dur))
-  end;
-  Buffer.add_string b
-    (Printf.sprintf ",\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"args\":{\"v\":%d}}"
-       (us ~cycles_per_us e.ts) e.tid e.arg)
+(* ------------------------------------------------------------------ *)
+(* Chrome-trace writer.
+
+   Two passes over the events: the first sums the exact output length,
+   the second fills one [Bytes] of that length, so the trace is
+   allocated once and never grown or copied.  Integers are written digit
+   by digit, and the microsecond fields use integer fixed-point
+   arithmetic ([fixed3]) wherever that provably equals [%.3f]; only the
+   remaining fields go through [Printf]. *)
+
+(* Decimal digits of [-m], for [m <= 0]: working on the non-positive
+   side covers [min_int], whose magnitude has no [int].  [p = 10^d]
+   until [d = 19], the most digits an [int] has. *)
+let rec digits_neg_from m p d =
+  if d = 19 || m > -p then d else digits_neg_from m (p * 10) (d + 1)
+
+let digits_neg m = digits_neg_from m 10 1
+
+let int_len n = if n < 0 then 1 + digits_neg n else digits_neg (-n)
+
+(* The digits of [-m], [m <= 0], right-aligned to end at offset [i].
+   Top level rather than local to [put_int]: a local closure over [b]
+   would be allocated on every call. *)
+let rec put_digits_neg b m i =
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 - (m mod 10)));
+  if m <= -10 then put_digits_neg b (m / 10) (i - 1)
+
+(* Write [n] exactly as [string_of_int] does; returns the next offset. *)
+let put_int b pos n =
+  let m = if n < 0 then n else -n in
+  let pos =
+    if n < 0 then begin
+      Bytes.unsafe_set b pos '-';
+      pos + 1
+    end
+    else pos
+  in
+  let stop = pos + digits_neg m in
+  put_digits_neg b m (stop - 1);
+  stop
+
+let put_string b pos s =
+  let n = String.length s in
+  Bytes.blit_string s 0 b pos n;
+  pos + n
+
+(* [cycles / clock] in thousandths, rounded to nearest, or [-1] when
+   this cannot be shown to equal [Printf.sprintf "%.3f"] of the float
+   quotient.  [clock] is the whole number of cycles per microsecond
+   ([0] when the rate is not a whole number).  For [0 <= cycles < 2^40]
+   the float quotient is within [2^-13 / clock] of the exact one, while
+   a non-tie exact quotient is at least [1 / (2000 * clock)] away from
+   the nearest rounding boundary, so both round the same way.  Exact
+   ties are left to [Printf], which rounds the float's binary value. *)
+let fixed3 ~clock cycles =
+  if clock <= 0 || cycles < 0 || cycles >= 1 lsl 40 then -1
+  else
+    let n = cycles * 1000 in
+    let q = n / clock in
+    let r2 = 2 * (n - (q * clock)) in
+    if r2 < clock then q else if r2 > clock then q + 1 else -1
 
 let chrome_header ~cycles_per_us ~emitted ~dropped =
   Printf.sprintf
     "{\"displayTimeUnit\":\"ms\",\"cgcSchema\":\"%s\",\"cyclesPerUs\":%.3f,\"emitted\":%d,\"dropped\":%d,\"traceEvents\":["
     trace_schema cycles_per_us emitted dropped
 
-let chrome_json ?(emitted = 0) ?(dropped = 0) ~cycles_per_us events =
-  let b = Buffer.create 65536 in
-  Buffer.add_string b (chrome_header ~cycles_per_us ~emitted ~dropped);
-  List.iteri (add_event b ~cycles_per_us) events;
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+(* Everything an event writes before its first number, per code (by
+   [Event.index]): a span continues with its duration, a thread-scoped
+   instant with its timestamp. *)
+let prefixes ph_tail =
+  Array.of_list
+    (List.map
+       (fun c ->
+         "\n{\"name\":\"" ^ Event.name c ^ "\",\"cat\":\"" ^ Event.cat c
+         ^ ph_tail)
+       Event.all_codes)
 
-let chrome_json_events ?(emitted = 0) ?(dropped = 0) ~cycles_per_us
+let span_prefix = prefixes "\",\"ph\":\"X\",\"dur\":"
+let instant_prefix = prefixes "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":"
+let ts_lit = ",\"ts\":"
+let tid_lit = ",\"pid\":0,\"tid\":"
+let arg_lit = ",\"args\":{\"v\":"
+let close_lit = "}}"
+let footer = "\n]}\n"
+
+let chrome_json ?(emitted = 0) ?(dropped = 0) ~cycles_per_us
     (events : Event.t array) =
-  let b = Buffer.create (65536 + (96 * Array.length events)) in
-  Buffer.add_string b (chrome_header ~cycles_per_us ~emitted ~dropped);
-  Array.iteri (add_event b ~cycles_per_us) events;
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  let clock =
+    if
+      Float.is_integer cycles_per_us
+      && cycles_per_us >= 1.0 && cycles_per_us < 0x1p40
+    then int_of_float cycles_per_us
+    else 0
+  in
+  let us_printf c = Printf.sprintf "%.3f" (us ~cycles_per_us c) in
+  let us_len c =
+    let q = fixed3 ~clock c in
+    if q >= 0 then int_len (q / 1000) + 4 else String.length (us_printf c)
+  in
+  let put_us b pos c =
+    let q = fixed3 ~clock c in
+    if q < 0 then put_string b pos (us_printf c)
+    else begin
+      let pos = put_int b pos (q / 1000) in
+      let f = q mod 1000 in
+      Bytes.unsafe_set b pos '.';
+      Bytes.unsafe_set b (pos + 1) (Char.unsafe_chr (48 + (f / 100)));
+      Bytes.unsafe_set b (pos + 2) (Char.unsafe_chr (48 + (f / 10 mod 10)));
+      Bytes.unsafe_set b (pos + 3) (Char.unsafe_chr (48 + (f mod 10)));
+      pos + 4
+    end
+  in
+  let header = chrome_header ~cycles_per_us ~emitted ~dropped in
+  let n = Array.length events in
+  (* Pass 1: the exact length.  The [n - 1] separating commas are
+     counted up front. *)
+  let fixed =
+    String.length tid_lit + String.length arg_lit + String.length close_lit
+  in
+  let len = ref (String.length header + String.length footer + max 0 (n - 1)) in
+  for i = 0 to n - 1 do
+    let e = Array.unsafe_get events i in
+    let k = Event.index e.code in
+    let head =
+      if Event.instant e then String.length instant_prefix.(k)
+      else String.length span_prefix.(k) + us_len e.dur + String.length ts_lit
+    in
+    len := !len + head + us_len e.ts + int_len e.tid + int_len e.arg + fixed
+  done;
+  (* Pass 2: fill. *)
+  let b = Bytes.create !len in
+  let pos = ref (put_string b 0 header) in
+  for i = 0 to n - 1 do
+    let e = Array.unsafe_get events i in
+    let k = Event.index e.code in
+    let p = !pos in
+    let p =
+      if i > 0 then begin
+        Bytes.unsafe_set b p ',';
+        p + 1
+      end
+      else p
+    in
+    let p =
+      if Event.instant e then put_string b p instant_prefix.(k)
+      else put_string b (put_us b (put_string b p span_prefix.(k)) e.dur) ts_lit
+    in
+    let p = put_us b p e.ts in
+    let p = put_int b (put_string b p tid_lit) e.tid in
+    let p = put_int b (put_string b p arg_lit) e.arg in
+    pos := put_string b p close_lit
+  done;
+  let stop = put_string b !pos footer in
+  assert (stop = !len);
+  Bytes.unsafe_to_string b
 
 (* ------------------------------------------------------------------ *)
 (* Chrome-trace re-parser.

@@ -31,18 +31,21 @@ type trace_meta = {
 }
 
 val chrome_json :
-  ?emitted:int -> ?dropped:int -> cycles_per_us:float -> Event.t list -> string
-(** Serialise (already-ordered) events, converting cycle timestamps to
-    microseconds — the unit the trace-event spec mandates — at
-    [cycles_per_us] simulated cycles per microsecond.  [emitted] and
-    [dropped] (default 0) are recorded in the header so analysis of the
-    file can report how much history the rings lost. *)
-
-val chrome_json_events :
   ?emitted:int -> ?dropped:int -> cycles_per_us:float -> Event.t array -> string
-(** {!chrome_json} over the flat array {!Cgc_obs.Obs.events_array}
-    produces — identical output bytes, without building a list of the
-    whole trace first. *)
+(** Serialise (already-ordered) events — the array
+    {!Cgc_obs.Obs.events_array}
+    returns — converting cycle timestamps to microseconds, the unit the
+    trace-event spec mandates, at [cycles_per_us] simulated cycles per
+    microsecond.  [emitted] and [dropped] (default 0) are recorded in
+    the header so analysis of the file can report how much history the
+    rings lost.
+
+    The string is built in one allocation of exactly its length (a
+    length pass, then a fill pass).  Microsecond fields are printed as
+    [Printf.sprintf "%.3f"] would print them, by integer fixed-point
+    arithmetic when [cycles_per_us] is a whole number and the value is
+    in [[0, 2^40)] cycles and not an exact rounding tie, and by
+    [Printf] otherwise. *)
 
 val parse_chrome_json : string -> (trace_meta * Event.t list, string) result
 (** Strict inverse of {!chrome_json}: recovers the integer cycle

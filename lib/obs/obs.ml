@@ -8,6 +8,11 @@ type armed = {
       (* cache of the last (tid, ring) pair: consecutive events
          overwhelmingly come from the same thread, so the hot path skips
          the per-event Hashtbl lookup *)
+  mutable merged : (int * Event.t array) option;
+      (* the sorted merge of the rings and the [count] it was built at:
+         every emit bumps [count] and [clear] drops it, so a matching
+         count means no event changed since, and export followed by
+         analysis sorts once *)
 }
 
 type t = Null | On of armed
@@ -23,6 +28,7 @@ let create ?(ring_capacity = 65536) ~now ~tid () =
       rings = Hashtbl.create 16;
       count = 0;
       last = None;
+      merged = None;
     }
 
 let enabled = function Null -> false | On _ -> true
@@ -90,6 +96,48 @@ let dropped_by_thread = function
         a.rings []
       |> List.sort compare
 
+(* Indices [0 .. n-1] stably ordered by a non-empty [ts]: an LSD radix
+   sort over 11-bit digits that carries each key with its index.  Keys
+   are the timestamps with the sign bit flipped, so unsigned digit order
+   is signed order; digits above the highest bit on which two keys
+   differ are the same for every key and skipped, so simulated clocks
+   (about 30 significant bits) take three passes. *)
+let radix_bits = 11
+
+let stable_order_by ts =
+  let n = Array.length ts in
+  let key = Array.map (fun t -> t lxor min_int) ts in
+  let k0 = key.(0) in
+  let differ = Array.fold_left (fun acc k -> acc lor (k lxor k0)) 0 key in
+  let mask = (1 lsl radix_bits) - 1 in
+  let count = Array.make (mask + 1) 0 in
+  let rec pass shift key idx key' idx' =
+    if shift >= Sys.int_size || differ lsr shift = 0 then idx
+    else begin
+      Array.fill count 0 (mask + 1) 0;
+      for j = 0 to n - 1 do
+        let d = (key.(j) lsr shift) land mask in
+        count.(d) <- count.(d) + 1
+      done;
+      let sum = ref 0 in
+      for d = 0 to mask do
+        let c = count.(d) in
+        count.(d) <- !sum;
+        sum := !sum + c
+      done;
+      for j = 0 to n - 1 do
+        let k = key.(j) in
+        let d = (k lsr shift) land mask in
+        let p = count.(d) in
+        key'.(p) <- k;
+        idx'.(p) <- idx.(j);
+        count.(d) <- p + 1
+      done;
+      pass (shift + radix_bits) key' idx' key idx
+    end
+  in
+  pass 0 key (Array.init n Fun.id) (Array.make n 0) (Array.make n 0)
+
 (* The surviving events of every ring, merged and sorted by timestamp.
    Stable: equal timestamps keep the (tid, emission order) order the
    concatenation establishes, so the listing is reproducible — and
@@ -98,84 +146,61 @@ let dropped_by_thread = function
    length-heavy: one flat array of a few hundred thousand records sorts
    and scans several times faster than the cons-cell chain
    [List.stable_sort] used to walk. *)
-let events_array t =
-  match t with
-  | Null -> [||]
-  | On a ->
-      let tids =
-        List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) a.rings [])
-      in
-      let n =
-        List.fold_left
-          (fun acc tid -> acc + Ring.length (Hashtbl.find a.rings tid))
-          0 tids
-      in
-      if n = 0 then [||]
-      else begin
-        (* Gather every ring's scalars with segment blits — no per-event
-           boxing — then sort [ts * 2^b + index] keys: the index makes
-           every key unique, so an (unstable) int sort reproduces the
-           stable-by-timestamp order exactly, and records are
-           materialised once, already in final order. *)
-        let ts = Array.make n 0
-        and dur = Array.make n 0
-        and tid = Array.make n 0
-        and arg = Array.make n 0
-        and code = Array.make n Event.Cycle_start in
-        let pos = ref 0 in
-        List.iter
-          (fun t0 ->
-            pos :=
-              Ring.blit_fields (Hashtbl.find a.rings t0) ~ts ~dur ~tid ~arg
-                ~code ~pos:!pos)
-          tids;
-        let bits =
-          let b = ref 1 in
-          while 1 lsl !b < n do incr b done;
-          !b
-        in
-        let max_ts = Array.fold_left max 0 ts in
-        if max_ts < 1 lsl (61 - bits) && Array.fold_left min 0 ts >= 0 then begin
-          let mask = (1 lsl bits) - 1 in
-          let key = Array.init n (fun i -> (ts.(i) lsl bits) lor i) in
-          (* stable_sort is merge sort: measurably faster than [sort]'s
-             heapsort on these mostly-ascending keys (stability itself is
-             irrelevant — keys are unique). *)
-          Array.stable_sort (fun (a : int) (b : int) -> compare a b) key;
-          Array.init n (fun j ->
-              let i = key.(j) land mask in
-              {
-                Event.ts = ts.(i);
-                dur = dur.(i);
-                tid = tid.(i);
-                code = code.(i);
-                arg = arg.(i);
-              })
-        end
-        else begin
-          (* Timestamps too large to pack (cannot happen for simulated
-             clocks, which start at zero): sort the records directly. *)
-          let arr =
-            Array.init n (fun i ->
-                {
-                  Event.ts = ts.(i);
-                  dur = dur.(i);
-                  tid = tid.(i);
-                  code = code.(i);
-                  arg = arg.(i);
-                })
-          in
-          Array.stable_sort
-            (fun (x : Event.t) (y : Event.t) -> compare x.ts y.ts)
-            arr;
-          arr
-        end
-      end
+let merge a =
+  let tids =
+    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) a.rings [])
+  in
+  let n =
+    List.fold_left
+      (fun acc tid -> acc + Ring.length (Hashtbl.find a.rings tid))
+      0 tids
+  in
+  if n = 0 then [||]
+  else begin
+    (* Gather every ring's scalars with segment blits — no per-event
+       boxing — then order the indices by timestamp, so records are
+       materialised once, already in final order. *)
+    let ts = Array.make n 0
+    and dur = Array.make n 0
+    and tid = Array.make n 0
+    and arg = Array.make n 0
+    and code = Array.make n Event.Cycle_start in
+    let pos = ref 0 in
+    List.iter
+      (fun t0 ->
+        pos :=
+          Ring.blit_fields (Hashtbl.find a.rings t0) ~ts ~dur ~tid ~arg
+            ~code ~pos:!pos)
+      tids;
+    let order = stable_order_by ts in
+    Array.init n (fun j ->
+        let i = order.(j) in
+        {
+          Event.ts = ts.(i);
+          dur = dur.(i);
+          tid = tid.(i);
+          code = code.(i);
+          arg = arg.(i);
+        })
+  end
 
-let events t = Array.to_list (events_array t)
+(* Records are immutable, so callers may share them; only the array
+   itself is copied, keeping one caller's mutation out of the next
+   export. *)
+let merged a =
+  match a.merged with
+  | Some (count, arr) when count = a.count -> arr
+  | _ ->
+      let arr = merge a in
+      a.merged <- Some (a.count, arr);
+      arr
+
+let events_array = function Null -> [||] | On a -> Array.copy (merged a)
+let events = function Null -> [] | On a -> Array.to_list (merged a)
 
 let clear = function
   | Null -> ()
   | On a ->
       Hashtbl.iter (fun _ r -> Ring.clear r) a.rings;
-      a.count <- 0
+      a.count <- 0;
+      a.merged <- None

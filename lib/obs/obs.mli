@@ -64,7 +64,12 @@ val events_array : t -> Event.t array
 (** {!events} as a flat array (same contents, same order).  The analysis
     and export passes prefer this form: one contiguous array of records
     sorts and scans several times faster than a list of the same
-    length. *)
+    length.
+
+    The merge is sorted once per recorded state and reused until the
+    next emit or {!clear}, so an export followed by an analysis of the
+    same run sorts once.  Every call still returns a fresh array:
+    mutating it does not affect later calls. *)
 
 val clear : t -> unit
 (** Drop all recorded events (e.g. after a warm-up window). *)

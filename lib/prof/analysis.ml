@@ -202,10 +202,13 @@ let balance_of ~cycles_per_ms (events : Event.t array) =
 (* Windowed mutator utilization (MMU)                                  *)
 
 let bounds (events : Event.t array) =
-  Array.fold_left
-    (fun (t0, t1) (e : Event.t) ->
-      (min t0 e.ts, max t1 (e.ts + max 0 e.dur)))
-    (max_int, min_int) events
+  let t0 = ref max_int and t1 = ref min_int in
+  Array.iter
+    (fun (e : Event.t) ->
+      t0 := min !t0 e.ts;
+      t1 := max !t1 (e.ts + max 0 e.dur))
+    events;
+  (!t0, !t1)
 
 (* Spread the [spans] (cycle intervals) over [n] windows of width [w]
    cycles starting at [t0], accumulating the overlap with each window
@@ -287,24 +290,28 @@ let analyse_events ?(mmu_windows_ms = default_mmu_windows_ms) ~cycles_per_us
   let n_events = Array.length events in
   let t0, t1 = if n_events = 0 then (0, 0) else bounds events in
   let wall_ms = float_of_int (t1 - t0) /. cycles_per_ms in
-  (* Per-code phase attribution. *)
-  let counts = Hashtbl.create 32 in
+  (* Per-code phase attribution, tallied by the code's catalogue
+     position. *)
+  let counts = Array.make Event.n_codes 0
+  and durs = Array.make Event.n_codes 0 in
   Array.iter
     (fun (e : Event.t) ->
-      let c, d =
-        match Hashtbl.find_opt counts e.code with
-        | Some (c, d) -> (c, d)
-        | None -> (0, 0)
-      in
-      Hashtbl.replace counts e.code (c + 1, d + max 0 e.dur))
+      let k = Event.index e.code in
+      counts.(k) <- counts.(k) + 1;
+      durs.(k) <- durs.(k) + max 0 e.dur)
     events;
   let phases =
     List.filter_map
       (fun code ->
-        match Hashtbl.find_opt counts code with
-        | Some (count, dur) ->
-            Some { code; count; total_ms = float_of_int dur /. cycles_per_ms }
-        | None -> None)
+        let k = Event.index code in
+        if counts.(k) = 0 then None
+        else
+          Some
+            {
+              code;
+              count = counts.(k);
+              total_ms = float_of_int durs.(k) /. cycles_per_ms;
+            })
       Event.all_codes
   in
   (* Pause distribution (exact nearest-rank percentiles). *)

@@ -221,7 +221,7 @@ let enable_profiler ?(interval_ms = 0.25) t =
 
 let trace_json t =
   let o = obs t in
-  Export.chrome_json_events ~emitted:(Obs.emitted o) ~dropped:(Obs.dropped o)
+  Export.chrome_json ~emitted:(Obs.emitted o) ~dropped:(Obs.dropped o)
     ~cycles_per_us:(cycles_per_us t) (Obs.events_array o)
 
 let write_trace t path = Export.write_file path (trace_json t)

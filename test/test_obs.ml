@@ -153,7 +153,7 @@ let test_chrome_json_shape () =
   clock := 1100;
   Obs.span t ~start:550 ~arg:3 Event.Stw_pause;
   Obs.instant t ~arg:12 Event.Packet_steal;
-  let json = Export.chrome_json ~cycles_per_us:550.0 (Obs.events t) in
+  let json = Export.chrome_json ~cycles_per_us:550.0 (Obs.events_array t) in
   check cb "has trace array" true
     (String.length json > 0 && json.[0] = '{');
   let has s = contains json s in
@@ -164,6 +164,159 @@ let test_chrome_json_shape () =
   check cb "tid" true (has {|"tid":7|});
   check cb "ts in us" true (has {|"ts":1.000|});
   check cb "dur in us" true (has {|"dur":1.000|})
+
+(* The writer's oracle: the Buffer-and-Printf formatting the exact-size
+   writer must reproduce byte for byte. *)
+let printf_chrome_json ~cycles_per_us events =
+  let b = Buffer.create 1024 in
+  let us c = Printf.sprintf "%.3f" (float_of_int c /. cycles_per_us) in
+  Buffer.add_string b
+    (Printf.sprintf
+       "{\"displayTimeUnit\":\"ms\",\"cgcSchema\":\"%s\",\"cyclesPerUs\":%.3f,\"emitted\":0,\"dropped\":0,\"traceEvents\":["
+       Export.trace_schema cycles_per_us);
+  List.iteri
+    (fun i (e : Event.t) ->
+      if i > 0 then Buffer.add_char b ',';
+      Buffer.add_string b
+        (Printf.sprintf "\n{\"name\":\"%s\",\"cat\":\"%s\"" (Event.name e.code)
+           (Event.cat e.code));
+      if Event.instant e then Buffer.add_string b ",\"ph\":\"i\",\"s\":\"t\""
+      else Buffer.add_string b (",\"ph\":\"X\",\"dur\":" ^ us e.dur);
+      Buffer.add_string b
+        (Printf.sprintf ",\"ts\":%s,\"pid\":0,\"tid\":%s,\"args\":{\"v\":%s}}"
+           (us e.ts) (string_of_int e.tid) (string_of_int e.arg)))
+    events;
+  Buffer.add_string b "\n]}\n";
+  Buffer.contents b
+
+let export_matches_printf (cycles_per_us, events) =
+  let got = Export.chrome_json ~cycles_per_us (Array.of_list events) in
+  let want = printf_chrome_json ~cycles_per_us events in
+  if not (String.equal got want) then
+    QCheck.Test.fail_reportf "writer output differs:@.got  %s@.want %s" got
+      want;
+  true
+
+let clocks = [ 1.0; 550.0; 1999.0; 2000.0; 550.5 ]
+
+let gen_event ~cycles =
+  let open QCheck.Gen in
+  let any_int =
+    oneof [ int; oneofl [ min_int; max_int; -1; 0; 1; -10; 10 ] ]
+  in
+  map
+    (fun (((ts, dur), (tid, arg)), code) -> { Event.ts; dur; tid; code; arg })
+    (pair
+       (pair (pair cycles (oneof [ cycles; return 0; return (-1) ]))
+          (pair any_int any_int))
+       (oneofl Event.all_codes))
+
+let print_events (cpu, evs) =
+  Printf.sprintf "cycles_per_us=%g %s" cpu
+    (String.concat "; "
+       (List.map
+          (fun (e : Event.t) ->
+            Printf.sprintf "{ts=%d dur=%d tid=%d arg=%d %s}" e.ts e.dur e.tid
+              e.arg (Event.name e.code))
+          evs))
+
+let export_fixed_point_test =
+  (* Cycle values across the fast path's whole range [0, 2^40), small
+     values, and a few outside it (negative, >= 2^40) that must take the
+     Printf path. *)
+  let cycles =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range 0 ((1 lsl 40) - 1);
+          int_range 0 5000;
+          int_range (1 lsl 40) (1 lsl 50);
+          int_range (-5000) (-1);
+        ])
+  in
+  QCheck.Test.make ~name:"export: fixed-point %.3f equals Printf" ~count:500
+    (QCheck.make ~print:print_events
+       QCheck.Gen.(
+         pair (oneofl clocks) (list_size (int_range 0 8) (gen_event ~cycles))))
+    export_matches_printf
+
+let export_ties_test =
+  (* At 2000 cycles/us an odd cycle count is an exact tie in thousandths
+     of a microsecond: the writer must defer to Printf's rounding. *)
+  let odd =
+    QCheck.Gen.(map (fun k -> (2 * k) + 1) (int_range 0 ((1 lsl 39) - 1)))
+  in
+  QCheck.Test.make ~name:"export: exact ties round like Printf" ~count:300
+    (QCheck.make ~print:print_events
+       QCheck.Gen.(
+         pair (return 2000.0)
+           (list_size (int_range 1 6) (gen_event ~cycles:odd))))
+    export_matches_printf
+
+let test_reexport_fractional_clock () =
+  let events =
+    Array.init 40 (fun i ->
+        {
+          Event.ts = i * 977;
+          dur = (if i mod 3 = 0 then -1 else i * 131);
+          tid = i mod 5;
+          code = List.nth Event.all_codes (i mod Event.n_codes);
+          arg = (i * 7919) - 100;
+        })
+  in
+  let json = Export.chrome_json ~emitted:40 ~cycles_per_us:550.5 events in
+  match Export.parse_chrome_json json with
+  | Error msg -> Alcotest.fail msg
+  | Ok (meta, parsed) ->
+      let again =
+        Export.chrome_json ~emitted:meta.Export.emitted
+          ~dropped:meta.Export.dropped ~cycles_per_us:meta.Export.cycles_per_us
+          (Array.of_list parsed)
+      in
+      check cb "re-export at 550.5 cycles/us is byte-identical" true
+        (String.equal json again)
+
+let test_event_index () =
+  check ci "n_codes" (List.length Event.all_codes) Event.n_codes;
+  List.iteri
+    (fun i c -> check ci (Event.name c) i (Event.index c))
+    Event.all_codes
+
+(* The merged order is cached per recorded state: any emit or clear
+   must show in the next export, and callers' arrays are their own. *)
+let test_merge_cache_invalidation () =
+  let clock = ref 0 and tid = ref 0 in
+  let t = Obs.create ~now:(fun () -> !clock) ~tid:(fun () -> !tid) () in
+  let export () = Export.chrome_json ~cycles_per_us:1.0 (Obs.events_array t) in
+  let arg_list () = List.map (fun e -> e.Event.arg) (Obs.events t) in
+  clock := 10;
+  Obs.instant t ~arg:1 Event.Packet_get;
+  let first = export () in
+  check (Alcotest.list ci) "first state" [ 1 ] (arg_list ());
+  tid := 1;
+  clock := 5;
+  Obs.instant t ~arg:2 Event.Packet_put;
+  check (Alcotest.list ci) "emit after export shows" [ 2; 1 ] (arg_list ());
+  check cb "export sees the new event" true (export () <> first);
+  check cb "new event in the json" true (contains (export ()) {|"v":2|});
+  let a = Obs.events_array t in
+  a.(0) <- { (a.(0)) with Event.arg = 99 };
+  Array.sort (fun x y -> compare y.Event.ts x.Event.ts) a;
+  check (Alcotest.list ci) "caller mutation does not leak" [ 2; 1 ]
+    (Array.to_list (Array.map (fun e -> e.Event.arg) (Obs.events_array t)));
+  check cb "nor into the export" false (contains (export ()) {|"v":99|});
+  (* Refill to the emit count the cached merge was built at, with
+     different events: only the clear can tell the two states apart. *)
+  Obs.clear t;
+  tid := 0;
+  clock := 7;
+  Obs.instant t ~arg:3 Event.Cycle_start;
+  Obs.instant t ~arg:4 Event.Cycle_end;
+  check (Alcotest.list ci) "state after clear" [ 3; 4 ] (arg_list ());
+  check cb "export after clear" true
+    (contains (export ()) {|"v":3|} && not (contains (export ()) {|"v":1}|}));
+  Obs.clear t;
+  check ci "clear empties the export" 0 (Array.length (Obs.events_array t))
 
 let test_csv_quoting () =
   let out =
@@ -283,6 +436,39 @@ let obs_events_array_order_test =
       if got <> expected then QCheck.Test.fail_report "merge order mismatch";
       true)
 
+let obs_events_array_full_range_test =
+  (* The radix sort behind the merge orders signed timestamps over the
+     whole int range — negatives, extremes, many ties — exactly as a
+     stable comparison sort does. *)
+  let ts_gen =
+    QCheck.Gen.(
+      oneof [ int; int_range (-3) 3; oneofl [ min_int; max_int; 0; -1 ] ])
+  in
+  QCheck.Test.make ~name:"obs: events_array sorts the full int range stably"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair int int))
+       QCheck.Gen.(list_size (int_range 1 40) (pair (int_bound 3) ts_gen)))
+    (fun evs ->
+      let o = Obs.create ~now:(fun () -> 0) ~tid:(fun () -> 0) () in
+      List.iteri
+        (fun i (tid, ts) ->
+          Obs.instant_host o ~arg:i ~tid ~ts Event.Cycle_start)
+        evs;
+      let expected =
+        List.mapi (fun i (tid, ts) -> (ts, tid, i)) evs
+        |> List.stable_sort (fun (_, a, _) (_, b, _) -> compare a b)
+        |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b)
+      in
+      let got =
+        Array.to_list
+          (Array.map
+             (fun e -> (e.Event.ts, e.Event.tid, e.Event.arg))
+             (Obs.events_array o))
+      in
+      if got <> expected then QCheck.Test.fail_report "order mismatch";
+      true)
+
 let () =
   Alcotest.run "obs"
     [
@@ -309,11 +495,19 @@ let () =
           Alcotest.test_case "armed sink merges and orders" `Quick
             test_armed_sink_orders_events;
           QCheck_alcotest.to_alcotest obs_events_array_order_test;
+          QCheck_alcotest.to_alcotest obs_events_array_full_range_test;
         ] );
       ( "export",
         [
           Alcotest.test_case "chrome json shape" `Quick test_chrome_json_shape;
           Alcotest.test_case "csv quoting" `Quick test_csv_quoting;
+          QCheck_alcotest.to_alcotest export_fixed_point_test;
+          QCheck_alcotest.to_alcotest export_ties_test;
+          Alcotest.test_case "re-export at a fractional clock" `Quick
+            test_reexport_fractional_clock;
+          Alcotest.test_case "event catalogue index" `Quick test_event_index;
+          Alcotest.test_case "merge cache invalidation" `Quick
+            test_merge_cache_invalidation;
         ] );
       ( "end-to-end",
         [

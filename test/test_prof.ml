@@ -237,7 +237,8 @@ let test_report_rendering () =
 
 let test_chrome_roundtrip_synthetic () =
   let json =
-    Export.chrome_json ~emitted:9 ~dropped:2 ~cycles_per_us:550.0 synthetic
+    Export.chrome_json ~emitted:9 ~dropped:2 ~cycles_per_us:550.0
+      (Array.of_list synthetic)
   in
   match Export.parse_chrome_json json with
   | Error msg -> Alcotest.fail msg
@@ -249,7 +250,7 @@ let test_chrome_roundtrip_synthetic () =
       let again =
         Export.chrome_json ~emitted:meta.Export.emitted
           ~dropped:meta.Export.dropped ~cycles_per_us:meta.Export.cycles_per_us
-          events
+          (Array.of_list events)
       in
       check cb "re-export is byte-identical" true (String.equal json again)
 
@@ -272,12 +273,76 @@ let test_chrome_roundtrip_real_trace () =
       let again =
         Export.chrome_json ~emitted:meta.Export.emitted
           ~dropped:meta.Export.dropped ~cycles_per_us:meta.Export.cycles_per_us
-          events
+          (Array.of_list events)
       in
       check cb "re-export is byte-identical" true (String.equal json again)
 
+(* Export cost regression: the exact-size writer allocates the output
+   once (in the major heap) and formats numbers without Printf, so the
+   minor words it allocates per event are the merged records and little
+   else.  Minor-word counts repeat exactly run to run, so a Printf or a
+   per-event box creeping back into the writer fails this
+   deterministically (the Buffer-and-Printf writer needed ~114). *)
+let test_export_alloc_budget () =
+  let vm = traced_vm () in
+  let events = Obs.emitted (Vm.obs vm) in
+  let before = Gc.minor_words () in
+  let json = Vm.trace_json vm in
+  let words = Gc.minor_words () -. before in
+  check cb "a real trace" true (events > 10_000 && String.length json > 0);
+  let per_event = words /. float_of_int events in
+  if per_event > 16.0 then
+    Alcotest.failf "Vm.trace_json allocated %.1f minor words/event (budget 16)"
+      per_event
+
+(* The analysis tallies per-code counts and the trace bounds in flat
+   arrays and int refs; they must equal the straightforward hash-table
+   and tuple folds bit for bit, and the list and array entry points
+   must agree. *)
+let test_analysis_tallies_reference () =
+  let vm = traced_vm () in
+  let o = Vm.obs vm in
+  let cycles_per_us = Vm.cycles_per_us vm in
+  let events = Obs.events_array o in
+  let a = Analysis.analyse_events ~cycles_per_us events in
+  let cycles_per_ms = cycles_per_us *. 1000.0 in
+  let counts = Hashtbl.create 32 in
+  Array.iter
+    (fun (e : Event.t) ->
+      let c, d =
+        Option.value ~default:(0, 0) (Hashtbl.find_opt counts e.code)
+      in
+      Hashtbl.replace counts e.code (c + 1, d + max 0 e.dur))
+    events;
+  let want =
+    List.filter_map
+      (fun code ->
+        Option.map
+          (fun (count, dur) ->
+            {
+              Analysis.code;
+              count;
+              total_ms = float_of_int dur /. cycles_per_ms;
+            })
+          (Hashtbl.find_opt counts code))
+      Event.all_codes
+  in
+  check cb "phase rows match the hash-table fold" true
+    (a.Analysis.phases = want);
+  let t0, t1 =
+    Array.fold_left
+      (fun (t0, t1) (e : Event.t) -> (min t0 e.ts, max t1 (e.ts + max 0 e.dur)))
+      (max_int, min_int) events
+  in
+  check cb "wall matches the tuple fold" true
+    (a.Analysis.wall_ms = float_of_int (t1 - t0) /. cycles_per_ms);
+  check cb "analyse (list) = analyse_events (array)" true
+    (compare a (Analysis.analyse ~cycles_per_us (Obs.events o)) = 0)
+
 let test_chrome_schema_rejection () =
-  let good = Export.chrome_json ~cycles_per_us:550.0 synthetic in
+  let good =
+    Export.chrome_json ~cycles_per_us:550.0 (Array.of_list synthetic)
+  in
   let bad =
     replace_once ~sub:Export.trace_schema ~by:"cgcsim-trace-v999" good
   in
@@ -384,6 +449,10 @@ let () =
             test_chrome_roundtrip_synthetic;
           Alcotest.test_case "chrome json, real trace" `Slow
             test_chrome_roundtrip_real_trace;
+          Alcotest.test_case "export allocation budget" `Slow
+            test_export_alloc_budget;
+          Alcotest.test_case "analysis tallies vs reference folds" `Slow
+            test_analysis_tallies_reference;
           Alcotest.test_case "foreign schema rejected" `Quick
             test_chrome_schema_rejection;
           Alcotest.test_case "csv" `Quick test_csv_roundtrip;
