@@ -293,38 +293,19 @@ let baseline_path () =
            "bench/baselines/BENCH_PR8.fast.json"
          else "bench/baselines/BENCH_PR8.json")
 
-(* Pull one "key": <float> field out of a baseline document without a
-   JSON parser: the files are machine-written by [Json.to_string], so a
-   textual scan for the quoted key is reliable. *)
-let scan_float_field path key =
+(* The baseline document's whole-matrix hostEventsPerSec, if the file
+   exists and carries one. *)
+let baseline_events_per_sec path =
   if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    let needle = "\"" ^ key ^ "\":" in
-    let nlen = String.length needle in
-    let rec find i =
-      if i + nlen > len then None
-      else if String.sub s i nlen = needle then begin
-        let j = ref (i + nlen) in
-        while !j < len && (s.[!j] = ' ' || s.[!j] = '\n') do incr j done;
-        let k = ref !j in
-        while
-          !k < len
-          && (match s.[!k] with
-             | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-             | _ -> false)
-        do
-          incr k
-        done;
-        float_of_string_opt (String.sub s !j (!k - !j))
-      end
-      else find (i + 1)
-    in
-    find 0
-  end
+  else
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    match Json.parse text with
+    | Error _ -> None
+    | Ok doc -> (
+        match Json.member "hostEventsPerSec" doc with
+        | Some (Json.Float f) -> Some f
+        | Some (Json.Int n) -> Some (float_of_int n)
+        | _ -> None)
 
 let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
   Cgc_experiments.Common.hdr "Benchmark matrix (cgcsim-bench-v1)";
@@ -471,7 +452,7 @@ let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
   let baseline_eps =
     match baseline_path () with
     | None -> None
-    | Some p -> scan_float_field p "hostEventsPerSec"
+    | Some p -> baseline_events_per_sec p
   in
   let speedup_fields =
     match baseline_eps with

@@ -177,7 +177,7 @@ let () =
         | Some n when n >= 1 -> jobs := n
         | _ ->
             Printf.eprintf "--jobs expects a positive integer, got %s\n" v;
-            exit 2);
+            exit Cgc_cli.Exit_codes.usage);
         strip rest
     | x :: rest -> x :: strip rest
     | [] -> []

@@ -194,14 +194,13 @@ let analyze_trace ~mmu_windows_ms ~json_out ~fail_on_drops file =
 let analyze_report ~tails_n ~lbo ~json_out ~fail_on_drops file =
   let contents = read_file file in
   let t = match Tails.of_report contents with Ok t -> t | Error msg -> schema_error file msg in
-  (* Exact-span reports get the full round-trip validation, including the
-     blame conservation identity. *)
-  (if t.Tails.exact then
-     let validate =
-       if t.Tails.source = Cgc_server.Report.schema then Cgc_server.Report.validate
-       else Cgc_cluster.Report.validate
-     in
-     match validate contents with Ok _ -> () | Error msg -> schema_error file msg);
+  (* Full round-trip validation, including the blame conservation
+     identity. *)
+  (let validate =
+     if t.Tails.source = Cgc_server.Report.schema then Cgc_server.Report.validate
+     else Cgc_cluster.Report.validate
+   in
+   match validate contents with Ok _ -> () | Error msg -> schema_error file msg);
   (if lbo then
      match Tails.lbo_of_report contents with
      | Error msg -> schema_error file msg
@@ -256,7 +255,8 @@ let analyze_cmd =
     file "report"
       ~doc:
         "Tail forensics on a serialised report ($(b,serve --json) or \
-         $(b,cluster --json), any supported schema version): re-check the \
+         $(b,cluster --json); $(b,cgcsim-server-v2) or \
+         $(b,cgcsim-cluster-v3)): re-check the \
          blame conservation identity, then print the fleet blame \
          decomposition and the worst-request causal chains."
   and+ bench_in =
@@ -338,7 +338,7 @@ let analyze_cmd =
    mutators, with drop-newest shedding and an optional admission
    throttle.  Prints an SLO report (end-to-end latency decomposed into
    queueing / service / GC inflation) and optionally writes it as
-   cgcsim-server-v1 JSON.
+   cgcsim-server-v2 JSON.
 
      cgcsim serve --rate 6000 --collector stw --heap-mb 24 --ms 2000 \
        --slo-ms 50 --json report.json
@@ -365,7 +365,7 @@ let serve_cmd =
     let doc = "Write a Chrome trace-event JSON file (arms the event sink)." in
     Flags.trace ~doc ~ring:(1 lsl 17) ()
   and+ metrics_out = Flags.metrics_out ()
-  and+ json_out = Flags.json ~doc:"Write the $(b,cgcsim-server-v1) SLO report to $(docv)." in
+  and+ json_out = Flags.json ~doc:"Write the $(b,cgcsim-server-v2) SLO report to $(docv)." in
   let throttle_hi, throttle_lo = s.Flags.throttle in
   let scfg =
     build (fun () ->

@@ -1,96 +1,38 @@
 (* A web-application-server scenario — the workload the paper's
-   introduction motivates: many more request-handler threads than
-   processors, a large session cache as the resident set, and a latency
-   budget per request.
+   introduction motivates: an open-loop stream of requests served by
+   handler threads over a resident session set, with a latency budget
+   per request.
 
-   We run the same server under the stop-the-world baseline and under the
-   mostly-concurrent collector and report the request-latency tail: with
-   STW, every request that lands on a collection absorbs the full pause;
-   with CGC the pause (and therefore the tail) collapses.
+   The same request stream ([Cgc_server]: Poisson arrivals into a
+   bounded queue, worker mutators, per-request blame) runs under the
+   stop-the-world baseline and under the mostly-concurrent collector.
+   With STW every request queued behind a collection absorbs the whole
+   pause; with CGC the pause, and therefore the tail, collapses.
 
    Run with:  dune exec examples/webserver.exe *)
 
 module Vm = Cgc_runtime.Vm
-module Mutator = Cgc_runtime.Mutator
 module Config = Cgc_core.Config
-module Stats = Cgc_util.Stats
-module Prng = Cgc_util.Prng
+module Server = Cgc_server.Server
+module Report = Cgc_server.Report
 
-let n_handlers = 64
-let session_lists = 6
-let session_list_len = 550
-
-(* One request: allocate a response, update the session cache (pointer
-   mutation), compute, measure the wall latency, then think. *)
-let handler latencies cycles_per_ms m =
-  for i = 0 to session_lists - 1 do
-    let l =
-      Cgc_workloads.Objgraph.build_list m ~len:session_list_len ~node_slots:12
-    in
-    Mutator.root_set m i l
-  done;
-  let rng = Mutator.rng m in
-  while not (Mutator.stopped m) do
-    let t_start = Mutator.now_cycles m in
-    (* response buffer + a few temporaries *)
-    let resp = Mutator.alloc m ~nrefs:1 ~size:24 in
-    Mutator.root_set m 6 resp;
-    for _ = 1 to 4 do
-      let tmp = Mutator.alloc m ~nrefs:0 ~size:8 in
-      Mutator.set_ref m resp 0 tmp
-    done;
-    (* session update: replace a list head *)
-    let i = Prng.int rng session_lists in
-    let old = Mutator.root_get m i in
-    let tail = Mutator.get_ref m old 0 in
-    Mutator.root_set m 7 tail;
-    let fresh = Mutator.alloc m ~nrefs:1 ~size:12 in
-    Mutator.set_ref m fresh 0 tail;
-    Mutator.root_set m i fresh;
-    Mutator.root_set m 6 0;
-    Mutator.root_set m 7 0;
-    Mutator.work m 12_000;
-    Mutator.tx_done m;
-    let lat =
-      float_of_int (Mutator.now_cycles m - t_start)
-      /. float_of_int cycles_per_ms
-    in
-    Stats.add latencies lat;
-    (* ~1 ms of think time between requests: this idle time is what the
-       background collector threads soak up *)
-    Mutator.think m (1 + int_of_float (Prng.exponential rng 550_000.0))
-  done
+let warmup_ms = 500.0
+let ms = 2000.0
 
 let serve name gc =
-  let vm = Vm.create (Vm.config ~heap_mb:48.0 ~ncpus:4 ~gc ()) in
-  let cycles_per_ms =
-    (Vm.machine vm).Cgc_smp.Machine.cost.Cgc_smp.Cost.cycles_per_ms
-  in
-  let latencies = Stats.create () in
-  for i = 1 to n_handlers do
-    Vm.spawn_mutator vm
-      ~name:(Printf.sprintf "handler-%d" i)
-      (handler latencies cycles_per_ms)
-  done;
-  Vm.run vm ~ms:4000.0;
-  let st = Vm.gc_stats vm in
-  Printf.printf
-    "%-4s  requests %7d   latency p50 %6.2f ms  p99.9 %6.2f ms  max %7.2f ms   GC avg pause %6.2f ms (max %.2f)\n"
-    name (Stats.count latencies)
-    (Stats.percentile latencies 50.0)
-    (Stats.percentile latencies 99.9)
-    (Stats.max latencies)
-    (Cgc_util.Histogram.mean st.Cgc_core.Gstats.pause_ms)
-    (if Cgc_util.Histogram.count st.Cgc_core.Gstats.pause_ms = 0 then 0.0
-     else Cgc_util.Histogram.max st.Cgc_core.Gstats.pause_ms)
+  let vm = Vm.create (Vm.config ~heap_mb:24.0 ~ncpus:4 ~gc ()) in
+  let scfg = Server.cfg ~rate_per_s:6000.0 ~workers:8 ~slo_ms:20.0 () in
+  let srv = Server.create scfg vm in
+  Vm.run_measured vm ~warmup_ms ~ms;
+  Printf.printf "--- %s ---\n%s\n" name
+    (Report.text scfg ~ran_ms:ms (Server.totals srv))
 
 let () =
   Printf.printf
-    "Web application server: %d handler threads on 4 CPUs, 48 MB heap.\n\
-     Request latency tail under each collector:\n\n"
-    n_handlers;
+    "Web application server: 6000 req/s into 8 handler threads on 4 CPUs,\n\
+     24 MB heap, 20 ms SLO.  Request latency under each collector:\n\n";
   serve "STW" Config.stw;
   serve "CGC" Config.default;
-  Printf.printf
-    "\nThe p99/max latency under STW absorbs whole collection pauses; the\n\
-     mostly-concurrent collector trades a little throughput for a flat tail.\n"
+  print_string
+    "Under STW, requests queue behind whole collection pauses (and some\n\
+     are shed); under the mostly-concurrent collector the tail stays flat.\n"

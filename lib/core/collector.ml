@@ -49,6 +49,24 @@ let () =
 
 let n_globals = 256
 
+(* Four parallel workers for the stop-the-world phases, capped by the
+   CPU count: the paper's machines are 4-way SMPs (section 6). *)
+let gc_workers = 4
+
+(* Objects of 128 slots (1 KB) or more bypass the allocation cache and,
+   in [Gen] mode, the nursery. *)
+let large_object_slots = 128
+
+(* A background thread traces up to 512 slots per scheduling chunk. *)
+let bg_chunk = 512
+
+(* Fraction of the heap evacuated per incremental-compaction cycle
+   (section 2.3): 1/16 in steady state, 1/8 on the degradation ladder's
+   emergency-compaction rung, where the goal is defragmentation rather
+   than a bounded pause. *)
+let evac_fraction = 1.0 /. 16.0
+let emergency_evac_fraction = 0.125
+
 type t = {
   cfg : Config.t;
   sched : Sched.t;
@@ -167,8 +185,8 @@ let cleaner t = t.cl
 let phase t = t.ph
 let cycles t = t.cycle_no
 
-let register_mutator t thread ~stack_slots =
-  let m = Mctx.create ~tid:(Sched.thread_id thread) ~thread ~stack_slots in
+let register_mutator t thread =
+  let m = Mctx.create ~tid:(Sched.thread_id thread) ~thread in
   t.muts <- m :: t.muts;
   m
 
@@ -332,12 +350,8 @@ let start_cycle t =
   t.cycle_no <- t.cycle_no + 1;
   Obs.instant t.mach.Machine.obs ~arg:t.cycle_no Obs_event.Cycle_start;
   if t.cfg.Config.compaction || t.emergency_compact then begin
-    (* An emergency-compaction cycle (ladder rung 3) evacuates a larger
-       area than the steady-state incremental setting: the heap is nearly
-       exhausted and the goal is defragmentation, not pause bounding. *)
     let fraction =
-      if t.emergency_compact then Float.max t.cfg.Config.evac_fraction 0.125
-      else t.cfg.Config.evac_fraction
+      if t.emergency_compact then emergency_evac_fraction else evac_fraction
     in
     Compact.choose_area t.cp ~cycle:t.cycle_no ~fraction;
     Tracer.set_compactor t.tr t.cp
@@ -486,7 +500,7 @@ let finalize t reason =
     | Config.Cgc | Config.Gen ->
         Card_clean.start_pass t.cl ~force_fences:(fun () -> ())
     | Config.Stw -> ());
-    let workers = max 1 (min t.cfg.Config.gc_workers (Sched.ncpus t.sched)) in
+    let workers = max 1 (min gc_workers (Sched.ncpus t.sched)) in
     (match (t.cfg.Config.load_balance, t.cfg.Config.mode) with
     | Config.Stealing, Config.Stw ->
         (* Section 4.4 ablation: Endo-style work-stealing mark stacks in
@@ -760,7 +774,7 @@ let note_black t size = if t.ph <> Idle then t.black_slots <- t.black_slots + si
 (* Refill helper that understands lazy sweeping: when the free list is
    short, try advancing the lazy-sweep cursor before declaring failure. *)
 let rec try_refill t (m : Mctx.t) ~min =
-  if Heap.refill_cache t.hp m.Mctx.cache ~min ~pref:t.cfg.Config.cache_slots
+  if Heap.refill_cache t.hp m.Mctx.cache ~min ~pref:Config.cache_slots
   then true
   else
     match t.lazy_state with
@@ -894,7 +908,7 @@ let alloc_old t ~size =
       degrade t ~request:size ~attempt:(fun () -> Heap.alloc_raw t.hp ~size)
 
 let rec alloc t (m : Mctx.t) ~nrefs ~size =
-  if size >= t.cfg.Config.large_object_slots then begin
+  if size >= large_object_slots then begin
     Machine.flush t.mach;
     pre_alloc_hook t m ~request:size;
     match try_alloc_large t ~size ~nrefs with
@@ -929,7 +943,7 @@ let rec alloc t (m : Mctx.t) ~nrefs ~size =
            thread's objects through their allocation bits. *)
         Machine.flush t.mach;
         Heap.retire_cache t.hp m.Mctx.cache;
-        pre_alloc_hook t m ~request:t.cfg.Config.cache_slots;
+        pre_alloc_hook t m ~request:Config.cache_slots;
         (* Gen mode: refill from the nursery first (running a minor
            collection when it is exhausted and the major is idle); the
            old-space free list is the fallback — large objects above and
@@ -958,7 +972,7 @@ let background_body t () =
      if stall > 0 then Sched.sleep stall);
     if t.ph = Marking then begin
       let session = Tracer.new_session t.tr in
-      let n = find_work t session ~budget:t.cfg.Config.bg_chunk in
+      let n = find_work t session ~budget:bg_chunk in
       Tracer.release t.tr session;
       Machine.flush t.mach;
       if n > 0 then begin

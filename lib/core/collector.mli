@@ -19,7 +19,7 @@
        allocation failure.  All caches are retired (publishing allocation
        bits), dirty cards are cleaned under the snapshot protocol, all
        stacks are rescanned, marking completes and the heap is swept —
-       all fully parallel across [gc_workers] threads.}}
+       all fully parallel across [min 4 ncpus] threads.}}
 
     In [Stw] mode the collector is the baseline: no write barrier, no
     concurrent phase; allocation failure triggers a full parallel
@@ -66,7 +66,7 @@ val compactor : t -> Compact.t
 val phase : t -> phase
 val cycles : t -> int
 
-val register_mutator : t -> Cgc_sim.Sched.thread -> stack_slots:int -> Mctx.t
+val register_mutator : t -> Cgc_sim.Sched.thread -> Mctx.t
 (** Must be called from inside the thread being registered (the mutator's
     store-buffer identity is its scheduler thread id). *)
 

@@ -23,7 +23,6 @@ type t = {
   dests : (int, unit) Hashtbl.t;
   pins : (int, unit) Hashtbl.t;
   mutable evac_objs : int;
-  mutable evac_slots : int;
   mutable nfixups : int;
 }
 
@@ -40,7 +39,6 @@ let create heap =
     dests = Hashtbl.create 256;
     pins = Hashtbl.create 64;
     evac_objs = 0;
-    evac_slots = 0;
     nfixups = 0;
   }
 
@@ -56,8 +54,6 @@ let choose_area t ~cycle ~fraction =
   Hashtbl.reset t.fwd;
   Hashtbl.reset t.dests;
   Hashtbl.reset t.pins
-
-let deactivate t = t.is_active <- false
 
 let active t = t.is_active
 
@@ -81,7 +77,6 @@ let record_ref t ~parent ~idx ~child =
 
 let pin t addr = if in_area t addr then pin_addr t addr
 
-let remset_size t = t.rn
 let pinned_count t = Hashtbl.length t.pins
 
 let forward t addr =
@@ -146,7 +141,6 @@ let evacuate t ~globals =
             Bitvec.clear mark addr;
             freed := (addr, size) :: !freed;
             t.evac_objs <- t.evac_objs + 1;
-            t.evac_slots <- t.evac_slots + size;
             moved_slots := !moved_slots + size
       end;
       a := Bitvec.next_set mark (max (addr + size) (addr + 1))
@@ -186,5 +180,4 @@ let evacuate t ~globals =
   end
 
 let evacuated_objects t = t.evac_objs
-let evacuated_slots t = t.evac_slots
 let fixups t = t.nfixups

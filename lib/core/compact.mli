@@ -31,8 +31,6 @@ val choose_area : t -> cycle:int -> fraction:float -> unit
     heap is divided into [1/fraction] areas; [cycle] rotates through
     them) and clear the remembered set, forwarding and pin tables. *)
 
-val deactivate : t -> unit
-
 val active : t -> bool
 
 val area : t -> int * int
@@ -50,7 +48,6 @@ val pin : t -> int -> unit
 (** Pin an area object referenced from a conservatively-scanned stack:
     it must not move. *)
 
-val remset_size : t -> int
 val pinned_count : t -> int
 
 val evacuate : t -> globals:int array -> int
@@ -62,7 +59,6 @@ val evacuate : t -> globals:int array -> int
 val evacuated_objects : t -> int
 (** Cumulative count across cycles. *)
 
-val evacuated_slots : t -> int
 val fixups : t -> int
 (** Cumulative remembered-slot rewrites. *)
 

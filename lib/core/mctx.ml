@@ -9,7 +9,11 @@ type t = {
   mutable trace_debt : int;
 }
 
-let create ~tid ~thread ~stack_slots =
+(* Root-array ("stack") slots per mutator: 48, a sizing choice of this
+   reproduction. *)
+let stack_slots = 48
+
+let create ~tid ~thread =
   {
     tid;
     thread;

@@ -19,7 +19,8 @@ type t = {
           performed (packet shortage); carried into the next increment *)
 }
 
-val create : tid:int -> thread:Cgc_sim.Sched.thread -> stack_slots:int -> t
+val create : tid:int -> thread:Cgc_sim.Sched.thread -> t
+(** A fresh context with 48 zeroed root slots and an empty cache. *)
 
 val root_get : t -> int -> int
 val root_set : t -> int -> int -> unit

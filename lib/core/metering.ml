@@ -1,5 +1,23 @@
 module Ewma = Cgc_util.Ewma
 
+(* Kmax = 2 K0, the ceiling on the mutator tracing rate (section 3). *)
+let kmax_factor = 2.0
+
+(* The corrective term C of section 3, which boosts K when tracing is
+   behind schedule: 0.5. *)
+let corrective = 0.5
+
+(* Weight 0.5 of the newest sample in section 3's exponential smoothing
+   averages of L, M and Best. *)
+let ewma_alpha = 0.5
+
+(* Seeds of the L and M estimators before any cycle has completed:
+   0.4 and 0.02 of the heap.  Sizing choices of this reproduction, set
+   so the first kickoff errs early (starting too soon is safe; too late
+   risks an allocation failure). *)
+let initial_l_fraction = 0.4
+let initial_m_fraction = 0.02
+
 type t = {
   cfg : Config.t;
   l_est : Ewma.t;
@@ -11,13 +29,9 @@ let create (cfg : Config.t) ~heap_slots =
   let h = float_of_int heap_slots in
   {
     cfg;
-    l_est =
-      Ewma.create ~alpha:cfg.ewma_alpha
-        ~init:(cfg.initial_l_fraction *. h) ();
-    m_est =
-      Ewma.create ~alpha:cfg.ewma_alpha
-        ~init:(cfg.initial_m_fraction *. h) ();
-    best = Ewma.create ~alpha:cfg.ewma_alpha ~init:0.0 ();
+    l_est = Ewma.create ~alpha:ewma_alpha ~init:(initial_l_fraction *. h) ();
+    m_est = Ewma.create ~alpha:ewma_alpha ~init:(initial_m_fraction *. h) ();
+    best = Ewma.create ~alpha:ewma_alpha ~init:0.0 ();
   }
 
 (* Meter-lowball injection scales the L+M view the meter works from, so
@@ -33,7 +47,7 @@ let increment_rate t ~traced ~free =
   let scale = fault_scale t in
   let l = scale *. Ewma.value t.l_est
   and m = scale *. Ewma.value t.m_est in
-  let kmax = t.cfg.kmax_factor *. t.cfg.k0 in
+  let kmax = kmax_factor *. t.cfg.k0 in
   let f = float_of_int (max free 1) in
   let k = (m +. l -. float_of_int traced) /. f in
   if k < 0.0 then
@@ -47,9 +61,9 @@ let increment_rate t ~traced ~free =
     let k = if k < b then 0.0 else k -. b in
     (* Corrective boost when behind schedule. *)
     let k =
-      if k > t.cfg.k0 then k +. ((k -. t.cfg.k0) *. t.cfg.corrective) else k
+      if k > t.cfg.k0 then k +. ((k -. t.cfg.k0) *. corrective) else k
     in
-    Float.min k (t.cfg.kmax_factor *. kmax)
+    Float.min k (kmax_factor *. kmax)
   end
 
 let increment_work t ~traced ~free ~alloc =
@@ -62,7 +76,6 @@ let observe_background t ~bg_traced ~mutator_alloc =
 
 let best t = Ewma.value t.best
 let l_estimate t = Ewma.value t.l_est
-let m_estimate t = Ewma.value t.m_est
 
 let end_cycle t ~l_observed ~m_observed =
   Ewma.observe t.l_est (float_of_int l_observed);

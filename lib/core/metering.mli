@@ -11,22 +11,24 @@
        smoothing averages over past cycles.}
     {- {e Progress}: at each increment the current rate is
        [K = (M + L - T) / F]; a negative K (under-estimated L or M) is
-       clamped to [Kmax = kmax_factor * K0].  The background threads'
+       clamped to [Kmax = 2 * K0].  The background threads'
        smoothed rate [Best] is subtracted — if they are keeping up, the
        mutators trace nothing.  If the remaining K exceeds K0 (tracing
        behind schedule) it is boosted by the corrective term:
-       [K + (K - K0) * C].}} *)
+       [K + (K - K0) * C] with [C = 0.5], and the boosted rate is capped
+       at [2 * Kmax].}} *)
 
 type t
 (** Mutable metering state for one collector: the L, M and Best
-    exponential-smoothing estimators plus the {!Config.t} policy knobs
-    (K0, the corrective constant C, Kmax). *)
+    exponential-smoothing estimators (weight 0.5 on the newest sample)
+    plus the {!Config.t} it meters against (K0, and the fault injector's
+    meter scaling). *)
 
 val create : Config.t -> heap_slots:int -> t
 (** Fresh estimators.  Before any cycle has completed, L is seeded with
-    half the heap and M with zero, so the first kickoff errs early
-    (starting a cycle too soon is safe; too late risks an allocation
-    failure). *)
+    0.4 of the heap and M with 0.02 of it, so the first kickoff errs
+    early (starting a cycle too soon is safe; too late risks an
+    allocation failure). *)
 
 val kickoff_threshold : t -> float
 (** Free-slot threshold that triggers a new concurrent cycle. *)
@@ -52,8 +54,6 @@ val best : t -> float
 val l_estimate : t -> float
 (** Predicted live (to-be-traced) volume for the current cycle, slots. *)
 
-val m_estimate : t -> float
-(** Predicted dirty-card rescan volume for the current cycle, slots. *)
 
 val end_cycle : t -> l_observed:int -> m_observed:int -> unit
 (** Update the L and M estimators with this cycle's actual values. *)

@@ -22,7 +22,6 @@ type t = {
   young : Card_table.t;  (** old->young remembered set *)
   n_lo : int;  (** first nursery slot *)
   n_hi : int;  (** one past the last nursery slot *)
-  chunk_pref : int;  (** preferred carve size (= the cache size) *)
   verify : bool;
   mutable bump : int;  (** nursery carve pointer, in [n_lo, n_hi] *)
   mutable pins_ahead : (int * int) list;
@@ -253,7 +252,7 @@ let barrier t ~parent ~value =
   if parent < t.n_lo && value >= t.n_lo then
     Card_table.dirty t.young (Arena.card_of_addr parent)
 
-(* Carve [need] slots (preferably [chunk_pref]) out of the nursery,
+(* Carve [need] slots (preferably [Config.cache_slots]) out of the nursery,
    stepping over pinned extents.  [None] means no gap fits: time for a
    minor (or the old-space fallback). *)
 let rec carve t ~need =
@@ -261,7 +260,7 @@ let rec carve t ~need =
     match t.pins_ahead with (pa, _) :: _ -> pa | [] -> t.n_hi
   in
   if t.bump + need <= gap_end then begin
-    let chunk = Stdlib.min t.chunk_pref (gap_end - t.bump) in
+    let chunk = Stdlib.min Config.cache_slots (gap_end - t.bump) in
     let chunk = Stdlib.max chunk need in
     let base = t.bump in
     t.bump <- base + chunk;
@@ -325,7 +324,6 @@ let create coll ~nursery_slots =
       young;
       n_lo;
       n_hi;
-      chunk_pref = cfg.Config.cache_slots;
       verify = cfg.Config.verify;
       bump = n_lo;
       pins_ahead = [];

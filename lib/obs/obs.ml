@@ -76,11 +76,6 @@ let instant_host t ?(arg = 0) ~tid ~ts code =
   | Null -> ()
   | On a -> emit a ~ts ~dur:(-1) ~tid ~code ~arg
 
-let span_host t ?(arg = 0) ~tid ~ts ~dur code =
-  match t with
-  | Null -> ()
-  | On a -> emit a ~ts ~dur:(max 0 dur) ~tid ~code ~arg
-
 let emitted = function Null -> 0 | On a -> a.count
 
 let dropped = function

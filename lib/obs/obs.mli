@@ -42,9 +42,6 @@ val instant_host : t -> ?arg:int -> tid:int -> ts:int -> Event.code -> unit
     synthetic [tid] (such as [-1] for the server's arrival process) gets
     its own ring, keeping per-thread ordering guarantees intact. *)
 
-val span_host : t -> ?arg:int -> tid:int -> ts:int -> dur:int -> Event.code -> unit
-(** {!span_at} with an explicit thread id, for host-side callers. *)
-
 val emitted : t -> int
 (** Total events emitted (including any later overwritten). *)
 

@@ -1,13 +1,11 @@
 (** Tail forensics and LBO-distilled GC cost over serialised reports.
 
     The [cgcsim analyze --tails/--lbo] back end.  {!of_report} accepts
-    every latency-bearing artefact the CLI writes — [cgcsim-server-v1]
-    / [v2] and [cgcsim-cluster-v2] / [v3] — and normalises it into one
-    view: the fleet-wide blame decomposition plus the worst-N causal
-    chains.  Reports carrying exact spans (server v2, cluster v3)
-    render per-request chains whose six blame components sum exactly to
-    the request's end-to-end cycles; the legacy schemas degrade to a
-    histogram-mean decomposition with an explicit note.
+    every latency-bearing artefact the CLI writes — [cgcsim-server-v2]
+    and [cgcsim-cluster-v3] — and normalises it into one view: the
+    fleet-wide blame decomposition plus the worst-N causal chains, each
+    rendered with six blame components that sum exactly to the
+    request's end-to-end cycles.  Any other schema is rejected.
 
     {!lbo_of_bench} implements the lower-bound-overhead methodology of
     "Distilling the Real Cost of Production Garbage Collectors" on a
@@ -46,7 +44,6 @@ type tail = {
 
 type t = {
   source : string;  (** the source artefact's schema tag *)
-  exact : bool;  (** per-request spans present (v2 server / v3 cluster) *)
   count : int;  (** completed requests *)
   cycles_per_ms : float;
   mean_ms : (string * float) list;  (** component -> mean ms, e2e first *)

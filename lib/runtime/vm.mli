@@ -27,8 +27,6 @@ type config = {
   seed : int;
   gc : Cgc_core.Config.t;
   wm_mode : Cgc_smp.Weakmem.mode;
-  stack_slots : int;  (** root-array ("stack") slots per mutator *)
-  quantum : int;  (** scheduler preemption slice, cycles *)
   fence_policy : Cgc_heap.Heap.fence_policy;
       (** [Batched] (the paper's protocols) or [Naive] (one fence per
           object / per mark) for the fence-batching ablation *)
@@ -46,16 +44,15 @@ val config :
   ?seed:int ->
   ?gc:Cgc_core.Config.t ->
   ?wm_mode:Cgc_smp.Weakmem.mode ->
-  ?stack_slots:int ->
-  ?quantum:int ->
   ?fence_policy:Cgc_heap.Heap.fence_policy ->
   ?trace:bool ->
   ?trace_ring:int ->
   unit ->
   config
 (** Defaults: 64 MB heap, 4 CPUs, seed 1, CGC with paper parameters,
-    sequentially-consistent memory (fence costs still charged), 48 stack
-    slots, 110k-cycle (0.2 ms) quantum, tracing off, 65536-event rings. *)
+    sequentially-consistent memory (fence costs still charged), tracing
+    off, 65536-event rings.  Every mutator has 48 root slots, and the
+    scheduler runs with {!Cgc_sim.Sched.create}'s default quantum. *)
 
 val create : config -> t
 

@@ -220,16 +220,6 @@ let restart_world t =
   t.initiator <- None;
   pause
 
-let set_prio t th p =
-  ignore t;
-  (* If the thread is queued under its old priority we would have to move
-     it; priority changes are only performed on the currently-running
-     thread (GC helpers promote themselves), so the queues stay
-     consistent: the thread is re-enqueued under the new priority when it
-     next suspends. *)
-  th.prio <- p
-
-let thread_name th = th.name
 let thread_id th = th.id
 let thread_cycles th = th.cycles
 

@@ -79,9 +79,6 @@ val restart_world : t -> int
 
 val world_stopped : t -> bool
 
-val set_prio : t -> thread -> prio -> unit
-
-val thread_name : thread -> string
 val thread_id : thread -> int
 val thread_cycles : thread -> int
 (** Total CPU cycles this thread has consumed. *)

@@ -178,8 +178,6 @@ let prev_set t i =
 
 let count t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
-let iter_words t f = Array.iteri f t.words
-
 let count_range t pos len =
   if len <= 0 || pos >= t.len then 0
   else begin

@@ -61,11 +61,6 @@ val bits_per_word : int
 val popcount : int -> int
 (** Population count of one backing word (byte-table kernel). *)
 
-val iter_words : t -> (int -> int -> unit) -> unit
-(** [iter_words t f] calls [f i w] for every backing word in index
-    order, including the all-zero sentinel word past the end.  Bits at
-    or beyond [length t] are never set by any operation, so [f] may
-    popcount or scan [w] without masking. *)
 
 val fold_set_ranges : t -> lo:int -> hi:int -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 (** [fold_set_ranges t ~lo ~hi ~init ~f] folds [f acc pos len] over the

@@ -2,10 +2,10 @@
    codes are exactly 0-7 with unique names, and the README's exit-code
    table between the markers is the literal output of markdown_table —
    so the binary, `cgcsim exit-codes --markdown` and the docs can never
-   drift apart.  The built cgcsim binary is then driven over a table of
-   bad inputs: each must end in a usage error naming the offending flag,
-   never in an uncaught exception, and every subcommand's --help must
-   document exactly the codes of that table. *)
+   drift apart.  The built cgcsim and bench binaries are then driven
+   over a table of bad inputs: each must end in a usage error naming the
+   offending flag, never in an uncaught exception, and every cgcsim
+   subcommand's --help must document exactly the codes of that table. *)
 
 module Exit_codes = Cgc_cli.Exit_codes
 
@@ -97,56 +97,61 @@ let test_markdown_rows () =
         true (contains table cell))
     Exit_codes.all
 
-(* Under `dune runtest` the binary is a declared dep at
-   ../bin/cgcsim.exe; under `dune exec` from the repo root it is in the
-   build tree. *)
-let cgcsim =
+(* Under `dune runtest` a binary is a declared dep at ../<dir>/<exe>;
+   under `dune exec` from the repo root it is in the build tree. *)
+let built rel =
   lazy
     (match
-       List.find_opt Sys.file_exists
-         [ "../bin/cgcsim.exe"; "_build/default/bin/cgcsim.exe" ]
+       List.find_opt Sys.file_exists [ "../" ^ rel; "_build/default/" ^ rel ]
      with
     | Some path -> path
-    | None -> Alcotest.fail "cgcsim.exe not found")
+    | None -> Alcotest.failf "%s not found" rel)
 
-(* Run cgcsim with [args]; the exit code, stdout and stderr. *)
-let cgcsim_run args =
+let cgcsim = built "bin/cgcsim.exe"
+let bench = built "bench/main.exe"
+
+(* Run [exe] (default cgcsim) with [args]; the exit code, stdout and
+   stderr. *)
+let cgcsim_run ?(exe = cgcsim) args =
   let out = Filename.temp_file "cgcsim" ".out" in
   let err = Filename.temp_file "cgcsim" ".err" in
   let code =
     Sys.command
-      (Filename.quote_command (Lazy.force cgcsim) args ~stdout:out ~stderr:err)
+      (Filename.quote_command (Lazy.force exe) args ~stdout:out ~stderr:err)
   in
   let stdout = read_file out and stderr = read_file err in
   Sys.remove out;
   Sys.remove err;
   (code, stdout, stderr)
 
-(* Each row: the command line and the flag its error message must name. *)
+(* Each row: the binary, the command line and the flag its error
+   message must name. *)
 let bad_inputs () =
   let trace = Filename.concat (Filename.get_temp_dir_name ()) "cgcsim-bad.json" in
-  [
-    ([ "serve"; "--heap-mb"; "0" ], "--heap-mb");
-    ([ "run"; "--heap-mb"; "0" ], "--heap-mb");
-    ([ "cluster"; "--heap-mb"; "0" ], "--heap-mb");
-    ([ "run"; "--ncpus"; "0" ], "--ncpus");
-    ([ "cluster"; "--ncpus"; "0" ], "--ncpus");
-    ([ "serve"; "--trace-ring"; "0"; "--trace-out"; trace ], "--trace-ring");
-    ([ "run"; "--packets"; "1" ], "--packets");
-    ([ "run"; "--compaction"; "--lazy-sweep" ], "--lazy-sweep");
-    ([ "run"; "--gc"; "gen"; "--compaction" ], "--compaction");
-    ([ "run"; "--workload"; "pbob"; "--warehouses"; "500" ], "--warehouses");
-    ([ "serve"; "--burst"; "0,0,0" ], "--burst");
-    ([ "serve"; "--rate"; "-1" ], "-1");
-    ([ "cluster"; "--jobs"; "0" ], "--jobs");
-    ([ "analyze"; "--workload"; "specjbb" ], "--workload");
-  ]
+  List.map (fun (args, flag) -> (cgcsim, args, flag))
+    [
+      ([ "serve"; "--heap-mb"; "0" ], "--heap-mb");
+      ([ "run"; "--heap-mb"; "0" ], "--heap-mb");
+      ([ "cluster"; "--heap-mb"; "0" ], "--heap-mb");
+      ([ "run"; "--ncpus"; "0" ], "--ncpus");
+      ([ "cluster"; "--ncpus"; "0" ], "--ncpus");
+      ([ "serve"; "--trace-ring"; "0"; "--trace-out"; trace ], "--trace-ring");
+      ([ "run"; "--packets"; "1" ], "--packets");
+      ([ "run"; "--compaction"; "--lazy-sweep" ], "--lazy-sweep");
+      ([ "run"; "--gc"; "gen"; "--compaction" ], "--compaction");
+      ([ "run"; "--workload"; "pbob"; "--warehouses"; "500" ], "--warehouses");
+      ([ "serve"; "--burst"; "0,0,0" ], "--burst");
+      ([ "serve"; "--rate"; "-1" ], "-1");
+      ([ "cluster"; "--jobs"; "0" ], "--jobs");
+      ([ "analyze"; "--workload"; "specjbb" ], "--workload");
+    ]
+  @ [ (bench, [ "matrix"; "--jobs"; "0" ], "--jobs") ]
 
 let test_bad_inputs_exit_usage () =
   List.iter
-    (fun (args, flag) ->
+    (fun (exe, args, flag) ->
       let cmd = String.concat " " args in
-      let code, _, stderr = cgcsim_run args in
+      let code, _, stderr = cgcsim_run ~exe args in
       check cb
         (Printf.sprintf "%s: exit %d is in the table" cmd code)
         true
