@@ -275,7 +275,6 @@ type cell_result = {
   drops : int;
   emitted : int;  (* events accepted by the cell's rings (fleet: summed) *)
   row : string list;  (* the progress table row *)
-  trace : string option;  (* Chrome trace, kept for cell 0 only *)
   host_ms : float;
 }
 
@@ -329,10 +328,7 @@ let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
         let host_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
         match ran with
         | Sim (vm, srv) ->
-            let trace =
-              if i = 0 && trace_out <> None then Some (Vm.trace_json vm)
-              else None
-            in
+            if i = 0 then Option.iter (Vm.write_trace vm) trace_out;
             let json, drops, a = cell_json c vm srv in
             let emitted = Obs.emitted (Vm.obs vm) in
             let json =
@@ -369,7 +365,7 @@ let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
                 Cgc_util.Table.f3 a.Analysis.balance.Analysis.fairness;
                 string_of_int drops ]
             in
-            { json; drops; emitted; row; trace; host_ms }
+            { json; drops; emitted; row; host_ms }
         | Fleet r ->
             let tot = Cluster.fleet_totals r in
             let sum f = Array.fold_left (fun acc s -> acc + f s) 0 r.Cluster.shards in
@@ -416,12 +412,12 @@ let run ?(out = "BENCH_PR10.json") ?trace_out ?(jobs = 1) () =
                 "-";
                 string_of_int drops ]
             in
-            { json; drops; emitted; row; trace = None; host_ms })
+            { json; drops; emitted; row; host_ms })
   in
   let host_wall_ms = 1000.0 *. (Unix.gettimeofday () -. wall0) in
-  (match (trace_out, results) with
-  | Some file, { trace = Some trace; _ } :: _ ->
-      Cgc_obs.Export.write_file file trace;
+  (* A VM cell 0 streamed its own trace (a fleet cell has none). *)
+  (match (trace_out, cells) with
+  | Some file, c :: _ when c.workload <> "cluster" ->
       Printf.printf "cell-0 trace written to %s\n%!" file
   | _ -> ());
   let t = Cgc_util.Table.create ~title:""

@@ -6,6 +6,7 @@
      dune exec bench/main.exe              # everything
      dune exec bench/main.exe -- fig1      # one experiment
      CGC_BENCH_FAST=1 dune exec bench/main.exe   # fast smoke sweep
+     dune exec bench/main.exe -- --help          # list the targets
 
    Targets: fig1 fig2 table1 table2 table3 table4 javac packetmem
             serverlat genlat clusterlat clusterchaos ablation-fence
@@ -16,7 +17,8 @@
    BENCH_PR10.json), --trace-out FILE (Chrome trace of cell 0) and
    --jobs N (run cells on N OCaml 5 domains; simulated results are
    identical at every N, only host wall-clock changes).  --jobs also
-   fans out the per-target experiment sweeps. *)
+   fans out the per-target experiment sweeps.  Every target name is
+   checked before any target runs; an unknown one exits 1. *)
 
 module E = Cgc_experiments
 
@@ -194,18 +196,26 @@ let () =
         );
       ]
   in
+  let available = String.concat " " (List.map fst targets) ^ " all" in
+  (* Every name is checked before anything runs, so a typo late in the
+     list cannot cost a whole matrix first. *)
+  if List.exists (fun n -> n = "--help" || n = "-h") names then begin
+    Printf.printf
+      "usage: main.exe [--out FILE] [--trace-out FILE] [--jobs N] [TARGET...]\n\
+       targets: %s\n"
+      available;
+    exit 0
+  end;
+  (match List.filter (fun n -> not (List.mem_assoc n targets)) names with
+  | [] -> ()
+  | [ "all" ] when names = [ "all" ] -> ()
+  | bad ->
+      Printf.eprintf "unknown target %s; available: %s\n"
+        (String.concat " " bad) available;
+      exit Cgc_cli.Exit_codes.usage);
   Printf.printf
     "CGC paper reproduction bench harness%s\n"
     (if E.Common.quick () then " (CGC_BENCH_FAST: shrunk sweeps)" else "");
   match names with
   | [] | [ "all" ] -> run_all ()
-  | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name targets with
-          | Some f -> f ()
-          | None ->
-              Printf.eprintf "unknown target %s; available: %s all\n" name
-                (String.concat " " (List.map fst targets));
-              exit 1)
-        names
+  | names -> List.iter (fun name -> (List.assoc name targets) ()) names

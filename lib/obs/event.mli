@@ -140,12 +140,17 @@ val all_codes : code list
 (** Every code, in declaration order — lets docs and tests enumerate the
     catalogue without chasing the variant. *)
 
-val index : code -> int
+external index : code -> int = "%identity"
 (** A code's position in {!all_codes}, for per-code tallies kept in a
-    flat array of length {!n_codes} instead of a hash table. *)
+    flat array of length {!n_codes} instead of a hash table, and for the
+    one-byte code column of a {!Ring}.  A primitive, so the recording
+    hot path makes no call for it. *)
 
 val n_codes : int
 (** [List.length all_codes]. *)
+
+val of_index : int -> code
+(** Inverse of {!index}; [Invalid_argument] outside [0 .. n_codes - 1]. *)
 
 val of_name : string -> code option
 (** Inverse of {!name} — used by the trace re-parser. *)

@@ -11,12 +11,15 @@ type trace_meta = {
 (* ------------------------------------------------------------------ *)
 (* Chrome-trace writer.
 
-   Two passes over the events: the first sums the exact output length,
-   the second fills one [Bytes] of that length, so the trace is
-   allocated once and never grown or copied.  Integers are written digit
-   by digit, and the microsecond fields use integer fixed-point
-   arithmetic ([fixed3]) wherever that provably equals [%.3f]; only the
-   remaining fields go through [Printf]. *)
+   One per-event formatter ([event_len] / [put_event]) over scalar
+   fields, and two sinks for it.  The in-memory sink sums the exact
+   output length in a first pass and fills one [Bytes] of that length in
+   a second, so the trace is allocated once and never grown or copied;
+   the channel sink formats into a small reusable buffer and flushes it
+   to an [out_channel], so a file write never holds the trace at all.
+   Integers are written digit by digit, and the microsecond fields use
+   integer fixed-point arithmetic ([fixed3]) wherever that provably
+   equals [%.3f]; only the remaining fields go through [Printf]. *)
 
 (* Decimal digits of [-m], for [m <= 0]: working on the non-positive
    side covers [min_int], whose magnitude has no [int].  [p = 10^d]
@@ -70,6 +73,40 @@ let fixed3 ~clock cycles =
     let r2 = 2 * (n - (q * clock)) in
     if r2 < clock then q else if r2 > clock then q + 1 else -1
 
+(* The clock as the formatter needs it: the rate itself for [Printf],
+   and its whole-number form for [fixed3]. *)
+type clock = { cycles_per_us : float; whole : int }
+
+let clock cycles_per_us =
+  let whole =
+    if
+      Float.is_integer cycles_per_us
+      && cycles_per_us >= 1.0 && cycles_per_us < 0x1p40
+    then int_of_float cycles_per_us
+    else 0
+  in
+  { cycles_per_us; whole }
+
+let us_printf c cycles =
+  Printf.sprintf "%.3f" (us ~cycles_per_us:c.cycles_per_us cycles)
+
+let us_len c cycles =
+  let q = fixed3 ~clock:c.whole cycles in
+  if q >= 0 then int_len (q / 1000) + 4 else String.length (us_printf c cycles)
+
+let put_us c b pos cycles =
+  let q = fixed3 ~clock:c.whole cycles in
+  if q < 0 then put_string b pos (us_printf c cycles)
+  else begin
+    let pos = put_int b pos (q / 1000) in
+    let f = q mod 1000 in
+    Bytes.unsafe_set b pos '.';
+    Bytes.unsafe_set b (pos + 1) (Char.unsafe_chr (48 + (f / 100)));
+    Bytes.unsafe_set b (pos + 2) (Char.unsafe_chr (48 + (f / 10 mod 10)));
+    Bytes.unsafe_set b (pos + 3) (Char.unsafe_chr (48 + (f mod 10)));
+    pos + 4
+  end
+
 let chrome_header ~cycles_per_us ~emitted ~dropped =
   Printf.sprintf
     "{\"displayTimeUnit\":\"ms\",\"cgcSchema\":\"%s\",\"cyclesPerUs\":%.3f,\"emitted\":%d,\"dropped\":%d,\"traceEvents\":["
@@ -94,76 +131,124 @@ let arg_lit = ",\"args\":{\"v\":"
 let close_lit = "}}"
 let footer = "\n]}\n"
 
-let chrome_json ?(emitted = 0) ?(dropped = 0) ~cycles_per_us
-    (events : Event.t array) =
-  let clock =
-    if
-      Float.is_integer cycles_per_us
-      && cycles_per_us >= 1.0 && cycles_per_us < 0x1p40
-    then int_of_float cycles_per_us
-    else 0
+let fixed_len =
+  String.length tid_lit + String.length arg_lit + String.length close_lit
+
+(* One event's bytes, without the separating comma.  [code] is the
+   code's [Event.index]; a negative [dur] marks an instant. *)
+let event_len c ~ts ~dur ~tid ~code ~arg =
+  let head =
+    if dur < 0 then String.length instant_prefix.(code)
+    else
+      String.length span_prefix.(code) + us_len c dur + String.length ts_lit
   in
-  let us_printf c = Printf.sprintf "%.3f" (us ~cycles_per_us c) in
-  let us_len c =
-    let q = fixed3 ~clock c in
-    if q >= 0 then int_len (q / 1000) + 4 else String.length (us_printf c)
+  head + us_len c ts + int_len tid + int_len arg + fixed_len
+
+let put_event c b p ~ts ~dur ~tid ~code ~arg =
+  let p =
+    if dur < 0 then put_string b p instant_prefix.(code)
+    else
+      let p = put_us c b (put_string b p span_prefix.(code)) dur in
+      put_string b p ts_lit
   in
-  let put_us b pos c =
-    let q = fixed3 ~clock c in
-    if q < 0 then put_string b pos (us_printf c)
-    else begin
-      let pos = put_int b pos (q / 1000) in
-      let f = q mod 1000 in
-      Bytes.unsafe_set b pos '.';
-      Bytes.unsafe_set b (pos + 1) (Char.unsafe_chr (48 + (f / 100)));
-      Bytes.unsafe_set b (pos + 2) (Char.unsafe_chr (48 + (f / 10 mod 10)));
-      Bytes.unsafe_set b (pos + 3) (Char.unsafe_chr (48 + (f mod 10)));
-      pos + 4
-    end
-  in
+  let p = put_us c b p ts in
+  let p = put_int b (put_string b p tid_lit) tid in
+  let p = put_int b (put_string b p arg_lit) arg in
+  put_string b p close_lit
+
+(* An upper bound on [event_len] plus its comma: the longest prefix, two
+   microsecond fields of at most 314 bytes each ([%.3f] of
+   [-.max_float]: sign, 309 digits, point, 3 decimals) and two ints of at
+   most 20. *)
+let max_event_len =
+  let longest = Array.fold_left (fun m s -> max m (String.length s)) 0 in
+  1 + longest span_prefix + String.length ts_lit + (2 * 314) + (2 * 20)
+  + fixed_len
+
+(* The events of a trace as the writer sees them: [iter] visits them in
+   output order, [scan] in any order (enough for the length pass). *)
+type events = {
+  n : int;
+  iter : (ts:int -> dur:int -> tid:int -> code:int -> arg:int -> unit) -> unit;
+  scan : (ts:int -> dur:int -> tid:int -> code:int -> arg:int -> unit) -> unit;
+}
+
+(* The in-memory sink: the exact length (the [n - 1] separating commas
+   counted up front), then one fill. *)
+let to_string ~cycles_per_us ~emitted ~dropped evs =
+  let c = clock cycles_per_us in
   let header = chrome_header ~cycles_per_us ~emitted ~dropped in
-  let n = Array.length events in
-  (* Pass 1: the exact length.  The [n - 1] separating commas are
-     counted up front. *)
-  let fixed =
-    String.length tid_lit + String.length arg_lit + String.length close_lit
+  let len =
+    ref (String.length header + String.length footer + max 0 (evs.n - 1))
   in
-  let len = ref (String.length header + String.length footer + max 0 (n - 1)) in
-  for i = 0 to n - 1 do
-    let e = Array.unsafe_get events i in
-    let k = Event.index e.code in
-    let head =
-      if Event.instant e then String.length instant_prefix.(k)
-      else String.length span_prefix.(k) + us_len e.dur + String.length ts_lit
-    in
-    len := !len + head + us_len e.ts + int_len e.tid + int_len e.arg + fixed
-  done;
-  (* Pass 2: fill. *)
+  evs.scan (fun ~ts ~dur ~tid ~code ~arg ->
+      len := !len + event_len c ~ts ~dur ~tid ~code ~arg);
   let b = Bytes.create !len in
+  let first = String.length header in
   let pos = ref (put_string b 0 header) in
-  for i = 0 to n - 1 do
-    let e = Array.unsafe_get events i in
-    let k = Event.index e.code in
-    let p = !pos in
-    let p =
-      if i > 0 then begin
-        Bytes.unsafe_set b p ',';
-        p + 1
-      end
-      else p
-    in
-    let p =
-      if Event.instant e then put_string b p instant_prefix.(k)
-      else put_string b (put_us b (put_string b p span_prefix.(k)) e.dur) ts_lit
-    in
-    let p = put_us b p e.ts in
-    let p = put_int b (put_string b p tid_lit) e.tid in
-    let p = put_int b (put_string b p arg_lit) e.arg in
-    pos := put_string b p close_lit
-  done;
+  evs.iter (fun ~ts ~dur ~tid ~code ~arg ->
+      let p = !pos in
+      let p =
+        if p > first then begin
+          Bytes.unsafe_set b p ',';
+          p + 1
+        end
+        else p
+      in
+      pos := put_event c b p ~ts ~dur ~tid ~code ~arg);
   let stop = put_string b !pos footer in
   assert (stop = !len);
   Bytes.unsafe_to_string b
+
+(* The channel sink: events are formatted into a 16 KiB buffer that is
+   flushed whenever the next event might not fit. *)
+let to_channel ~cycles_per_us ~emitted ~dropped evs oc =
+  let c = clock cycles_per_us in
+  output_string oc (chrome_header ~cycles_per_us ~emitted ~dropped);
+  let b = Bytes.create 16384 in
+  let pos = ref 0 and first = ref true in
+  evs.iter (fun ~ts ~dur ~tid ~code ~arg ->
+      if !pos + max_event_len > Bytes.length b then begin
+        output oc b 0 !pos;
+        pos := 0
+      end;
+      let p = !pos in
+      let p =
+        if !first then begin
+          first := false;
+          p
+        end
+        else begin
+          Bytes.unsafe_set b p ',';
+          p + 1
+        end
+      in
+      pos := put_event c b p ~ts ~dur ~tid ~code ~arg);
+  output oc b 0 !pos;
+  output_string oc footer
+
+let of_array (events : Event.t array) =
+  let iter f =
+    Array.iter
+      (fun (e : Event.t) ->
+        f ~ts:e.ts ~dur:e.dur ~tid:e.tid ~code:(Event.index e.code) ~arg:e.arg)
+      events
+  in
+  { n = Array.length events; iter; scan = iter }
+
+let of_obs o =
+  { n = Obs.length o; iter = Obs.iter_sorted o; scan = Obs.iter_unsorted o }
+
+let chrome_json ?(emitted = 0) ?(dropped = 0) ~cycles_per_us events =
+  to_string ~cycles_per_us ~emitted ~dropped (of_array events)
+
+let obs_chrome_json ~cycles_per_us o =
+  to_string ~cycles_per_us ~emitted:(Obs.emitted o) ~dropped:(Obs.dropped o)
+    (of_obs o)
+
+let output_obs_chrome ~cycles_per_us o oc =
+  to_channel ~cycles_per_us ~emitted:(Obs.emitted o) ~dropped:(Obs.dropped o)
+    (of_obs o) oc
 
 (* ------------------------------------------------------------------ *)
 (* Chrome-trace re-parser.

@@ -16,6 +16,15 @@
        this module only provides the generic writer, with an optional
        [#schema=...] first line for the same version-rejection.}}
 
+    The Chrome writer is one per-event formatter over scalar fields with
+    two sinks.  {!chrome_json} and {!obs_chrome_json} build the trace in
+    memory as one string of exactly its length (a length pass, then a
+    fill pass); {!output_obs_chrome} streams it to a channel through a
+    small reusable buffer and never holds the whole trace.  The [obs_]
+    entry points read a sink's rings directly — the length pass in any
+    order, the fill in the k-way merge order of {!Obs.iter_sorted} — so
+    no event record is built.
+
     {!parse_chrome_json} and {!parse_csv} invert the two writers exactly:
     re-exporting a parsed file reproduces it byte for byte (tested), which
     is what lets the profiler analyse previously written traces instead of
@@ -40,12 +49,21 @@ val chrome_json :
     the header so analysis of the file can report how much history the
     rings lost.
 
-    The string is built in one allocation of exactly its length (a
-    length pass, then a fill pass).  Microsecond fields are printed as
-    [Printf.sprintf "%.3f"] would print them, by integer fixed-point
-    arithmetic when [cycles_per_us] is a whole number and the value is
-    in [[0, 2^40)] cycles and not an exact rounding tie, and by
-    [Printf] otherwise. *)
+    The string is built in one allocation of exactly its length.
+    Microsecond fields are printed as [Printf.sprintf "%.3f"] would
+    print them, by integer fixed-point arithmetic when [cycles_per_us]
+    is a whole number and the value is in [[0, 2^40)] cycles and not an
+    exact rounding tie, and by [Printf] otherwise. *)
+
+val obs_chrome_json : cycles_per_us:float -> Obs.t -> string
+(** [chrome_json ~emitted ~dropped ~cycles_per_us (Obs.events_array o)]
+    with the sink's own counters, byte for byte, written from the rings'
+    columns without materialising a record. *)
+
+val output_obs_chrome : cycles_per_us:float -> Obs.t -> out_channel -> unit
+(** {!obs_chrome_json} written to a channel as it is formatted: beyond
+    the rings' cached orders, it allocates a 16 KiB buffer and a few
+    words per ring, whatever the trace's length. *)
 
 val parse_chrome_json : string -> (trace_meta * Event.t list, string) result
 (** Strict inverse of {!chrome_json}: recovers the integer cycle

@@ -4,18 +4,17 @@ type armed = {
   tid : unit -> int;
   rings : (int, Ring.t) Hashtbl.t;
   mutable count : int;
-  mutable last : (int * Ring.t) option;
-      (* cache of the last (tid, ring) pair: consecutive events
+  mutable last : Ring.t;
+      (* the last ring emitted into, or [no_ring]: consecutive events
          overwhelmingly come from the same thread, so the hot path skips
          the per-event Hashtbl lookup *)
-  mutable merged : (int * Event.t array) option;
-      (* the sorted merge of the rings and the [count] it was built at:
-         every emit bumps [count] and [clear] drops it, so a matching
-         count means no event changed since, and export followed by
-         analysis sorts once *)
 }
 
 type t = Null | On of armed
+
+(* "No ring yet": never registered, never written — [ring_of] checks
+   for it by identity, so its tid needs no reserved value. *)
+let no_ring = Ring.create ~tid:min_int ~capacity:1
 
 let null = Null
 
@@ -27,32 +26,34 @@ let create ?(ring_capacity = 65536) ~now ~tid () =
       tid;
       rings = Hashtbl.create 16;
       count = 0;
-      last = None;
-      merged = None;
+      last = no_ring;
     }
 
 let enabled = function Null -> false | On _ -> true
 
+(* Allocation-free once the thread's ring exists: the cached ring is the
+   ring itself, and [Hashtbl.find] returns it unboxed. *)
 let ring_of a tid =
-  match a.last with
-  | Some (t0, r) when t0 = tid -> r
-  | _ ->
-      let r =
-        match Hashtbl.find_opt a.rings tid with
-        | Some r -> r
-        | None ->
-            let r = Ring.create ~capacity:a.cap in
-            Hashtbl.add a.rings tid r;
-            r
-      in
-      a.last <- Some (tid, r);
-      r
+  let r = a.last in
+  if Ring.tid r = tid && r != no_ring then r
+  else begin
+    let r =
+      match Hashtbl.find a.rings tid with
+      | r -> r
+      | exception Not_found ->
+          let r = Ring.create ~tid ~capacity:a.cap in
+          Hashtbl.add a.rings tid r;
+          r
+    in
+    a.last <- r;
+    r
+  end
 
 (* All emission funnels through here: one ring-cache probe plus an
    allocation-free field append. *)
 let emit a ~ts ~dur ~tid ~code ~arg =
   a.count <- a.count + 1;
-  Ring.add_fields (ring_of a tid) ~ts ~dur ~tid ~code ~arg
+  Ring.add_fields (ring_of a tid) ~ts ~dur ~code ~arg
 
 let instant t ?(arg = 0) code =
   match t with
@@ -91,111 +92,108 @@ let dropped_by_thread = function
         a.rings []
       |> List.sort compare
 
-(* Indices [0 .. n-1] stably ordered by a non-empty [ts]: an LSD radix
-   sort over 11-bit digits that carries each key with its index.  Keys
-   are the timestamps with the sign bit flipped, so unsigned digit order
-   is signed order; digits above the highest bit on which two keys
-   differ are the same for every key and skipped, so simulated clocks
-   (about 30 significant bits) take three passes. *)
-let radix_bits = 11
+(* The non-empty rings, by thread id. *)
+let rings a =
+  let rs =
+    Hashtbl.fold
+      (fun _ r acc -> if Ring.length r > 0 then r :: acc else acc)
+      a.rings []
+    |> Array.of_list
+  in
+  Array.sort (fun x y -> compare (Ring.tid x) (Ring.tid y)) rs;
+  rs
 
-let stable_order_by ts =
-  let n = Array.length ts in
-  let key = Array.map (fun t -> t lxor min_int) ts in
-  let k0 = key.(0) in
-  let differ = Array.fold_left (fun acc k -> acc lor (k lxor k0)) 0 key in
-  let mask = (1 lsl radix_bits) - 1 in
-  let count = Array.make (mask + 1) 0 in
-  let rec pass shift key idx key' idx' =
-    if shift >= Sys.int_size || differ lsr shift = 0 then idx
-    else begin
-      Array.fill count 0 (mask + 1) 0;
-      for j = 0 to n - 1 do
-        let d = (key.(j) lsr shift) land mask in
-        count.(d) <- count.(d) + 1
-      done;
-      let sum = ref 0 in
-      for d = 0 to mask do
-        let c = count.(d) in
-        count.(d) <- !sum;
-        sum := !sum + c
-      done;
-      for j = 0 to n - 1 do
-        let k = key.(j) in
-        let d = (k lsr shift) land mask in
-        let p = count.(d) in
-        key'.(p) <- k;
-        idx'.(p) <- idx.(j);
-        count.(d) <- p + 1
-      done;
-      pass (shift + radix_bits) key' idx' key idx
-    end
-  in
-  pass 0 key (Array.init n Fun.id) (Array.make n 0) (Array.make n 0)
+let length = function
+  | Null -> 0
+  | On a -> Hashtbl.fold (fun _ r acc -> acc + Ring.length r) a.rings 0
 
-(* The surviving events of every ring, merged and sorted by timestamp.
-   Stable: equal timestamps keep the (tid, emission order) order the
-   concatenation establishes, so the listing is reproducible — and
-   byte-for-byte the order the previous list implementation produced.
-   Built as an array because the analysis and export passes are
-   length-heavy: one flat array of a few hundred thousand records sorts
-   and scans several times faster than the cons-cell chain
-   [List.stable_sort] used to walk. *)
-let merge a =
-  let tids =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) a.rings [])
-  in
-  let n =
-    List.fold_left
-      (fun acc tid -> acc + Ring.length (Hashtbl.find a.rings tid))
-      0 tids
-  in
+let iter_unsorted t f =
+  match t with
+  | Null -> ()
+  | On a ->
+      Array.iter
+        (fun r ->
+          let tid = Ring.tid r in
+          for i = 0 to Ring.length r - 1 do
+            f ~ts:(Ring.ts r i) ~dur:(Ring.dur r i) ~tid
+              ~code:(Ring.code_index r i) ~arg:(Ring.arg r i)
+          done)
+        (rings a)
+
+(* A k-way merge of the rings' timestamp orders.  A binary min-heap
+   holds the index (into the tid-sorted [rs]) of every ring with events
+   left, keyed by (head timestamp, ring index); each ring's own order is
+   stable, so the output is ordered by (ts, tid, emission order) — the
+   stable timestamp sort of the rings concatenated in tid order. *)
+let iter_sorted t f =
+  match t with
+  | Null -> ()
+  | On a ->
+      let rs = rings a in
+      let k = Array.length rs in
+      let sc =
+        Ring.scratch (Array.fold_left (fun m r -> max m (Ring.length r)) 0 rs)
+      in
+      let orders = Array.map (fun r -> Ring.order r sc) rs in
+      let next = Array.make k 0 (* position in each order *)
+      and head = Array.init k (fun r -> Ring.ts rs.(r) orders.(r).(0))
+      and heap = Array.init k Fun.id
+      and live = ref k in
+      let less x y = head.(x) < head.(y) || (head.(x) = head.(y) && x < y) in
+      let rec sift i =
+        let l = (2 * i) + 1 in
+        if l < !live then begin
+          let c =
+            if l + 1 < !live && less heap.(l + 1) heap.(l) then l + 1 else l
+          in
+          if less heap.(c) heap.(i) then begin
+            let x = heap.(i) in
+            heap.(i) <- heap.(c);
+            heap.(c) <- x;
+            sift c
+          end
+        end
+      in
+      for i = (k / 2) - 1 downto 0 do
+        sift i
+      done;
+      while !live > 0 do
+        let x = heap.(0) in
+        let r = rs.(x) and order = orders.(x) in
+        let slot = order.(next.(x)) in
+        f ~ts:head.(x) ~dur:(Ring.dur r slot) ~tid:(Ring.tid r)
+          ~code:(Ring.code_index r slot) ~arg:(Ring.arg r slot);
+        let j = next.(x) + 1 in
+        next.(x) <- j;
+        if j < Array.length order then head.(x) <- Ring.ts r order.(j)
+        else begin
+          decr live;
+          heap.(0) <- heap.(!live)
+        end;
+        sift 0
+      done
+
+(* Records are built only here, from the merge, and are not retained:
+   export writes straight from the rings. *)
+let events_array t =
+  let n = length t in
   if n = 0 then [||]
   else begin
-    (* Gather every ring's scalars with segment blits — no per-event
-       boxing — then order the indices by timestamp, so records are
-       materialised once, already in final order. *)
-    let ts = Array.make n 0
-    and dur = Array.make n 0
-    and tid = Array.make n 0
-    and arg = Array.make n 0
-    and code = Array.make n Event.Cycle_start in
-    let pos = ref 0 in
-    List.iter
-      (fun t0 ->
-        pos :=
-          Ring.blit_fields (Hashtbl.find a.rings t0) ~ts ~dur ~tid ~arg
-            ~code ~pos:!pos)
-      tids;
-    let order = stable_order_by ts in
-    Array.init n (fun j ->
-        let i = order.(j) in
-        {
-          Event.ts = ts.(i);
-          dur = dur.(i);
-          tid = tid.(i);
-          code = code.(i);
-          arg = arg.(i);
-        })
+    let out =
+      Array.make n
+        { Event.ts = 0; dur = 0; tid = 0; code = Cycle_start; arg = 0 }
+    in
+    let i = ref 0 in
+    iter_sorted t (fun ~ts ~dur ~tid ~code ~arg ->
+        out.(!i) <- { Event.ts; dur; tid; code = Event.of_index code; arg };
+        incr i);
+    out
   end
 
-(* Records are immutable, so callers may share them; only the array
-   itself is copied, keeping one caller's mutation out of the next
-   export. *)
-let merged a =
-  match a.merged with
-  | Some (count, arr) when count = a.count -> arr
-  | _ ->
-      let arr = merge a in
-      a.merged <- Some (a.count, arr);
-      arr
-
-let events_array = function Null -> [||] | On a -> Array.copy (merged a)
-let events = function Null -> [] | On a -> Array.to_list (merged a)
+let events t = Array.to_list (events_array t)
 
 let clear = function
   | Null -> ()
   | On a ->
       Hashtbl.iter (fun _ r -> Ring.clear r) a.rings;
-      a.count <- 0;
-      a.merged <- None
+      a.count <- 0

@@ -3,12 +3,19 @@
     A sink is either {!null} — every emit is a single pattern match and a
     return, so tracing is zero-cost when off — or armed, in which case
     events are appended to a bounded {!Ring} per emitting simulated
-    thread.  Timestamps come from the [now] closure (the simulated
-    per-CPU clock, never the host clock) and thread ids from the [tid]
-    closure, so an armed sink is fully deterministic: two runs with the
-    same seed produce identical event sequences, and {!events} orders
-    them by simulated time with a stable (thread id, emission order)
-    tie-break. *)
+    thread, in its byte-coded columns.  Timestamps come from the [now]
+    closure (the simulated per-CPU clock, never the host clock) and
+    thread ids from the [tid] closure, so an armed sink is fully
+    deterministic: two runs with the same seed produce identical event
+    sequences.
+
+    Readers see the events ordered by simulated time with a stable
+    (thread id, emission order) tie-break.  That order is never
+    gathered into one array: each ring sorts its own events once per
+    recorded state ({!Ring.order}), and {!iter_sorted} walks a k-way
+    merge of the rings.  Records are built only by {!events_array} and
+    {!events}; the trace writer ([Export]) reads the rings' columns
+    directly. *)
 
 type t
 
@@ -53,20 +60,35 @@ val dropped_by_thread : t -> (int * int) list
     thread id — lets reports name the lossy rings instead of only the
     total. *)
 
+val length : t -> int
+(** Events currently held across all rings (emitted minus dropped). *)
+
+val iter_sorted :
+  t -> (ts:int -> dur:int -> tid:int -> code:int -> arg:int -> unit) -> unit
+(** Every surviving event in {!events} order, as scalar fields ([code]
+    is the {!Event.index}).  Allocates each ring's cached timestamp
+    order when it is stale (one word an event), one sort workspace the
+    size of the largest ring, and a few words per ring for the merge —
+    nothing per event. *)
+
+val iter_unsorted :
+  t -> (ts:int -> dur:int -> tid:int -> code:int -> arg:int -> unit) -> unit
+(** The same events in no particular order (ring by ring, slot by
+    slot), for passes whose result does not depend on order — such as
+    the length of a trace.  Sorts nothing. *)
+
 val events : t -> Event.t list
 (** Every surviving event, sorted by timestamp; ties broken by thread id
     then emission order, so the result is deterministic. *)
 
 val events_array : t -> Event.t array
 (** {!events} as a flat array (same contents, same order).  The analysis
-    and export passes prefer this form: one contiguous array of records
-    sorts and scans several times faster than a list of the same
-    length.
+    passes prefer this form: one contiguous array of records scans
+    several times faster than a list of the same length.
 
-    The merge is sorted once per recorded state and reused until the
-    next emit or {!clear}, so an export followed by an analysis of the
-    same run sorts once.  Every call still returns a fresh array:
-    mutating it does not affect later calls. *)
+    The records are materialised from {!iter_sorted} on every call and
+    not retained, so the caller owns the array; the per-ring orders
+    behind it are reused until the next emit or {!clear}. *)
 
 val clear : t -> unit
 (** Drop all recorded events (e.g. after a warm-up window). *)

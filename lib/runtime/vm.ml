@@ -214,11 +214,14 @@ let enable_profiler ?(interval_ms = 0.25) t =
       t.prof <- Some p
 
 let trace_json t =
-  let o = obs t in
-  Export.chrome_json ~emitted:(Obs.emitted o) ~dropped:(Obs.dropped o)
-    ~cycles_per_us:(cycles_per_us t) (Obs.events_array o)
+  Export.obs_chrome_json ~cycles_per_us:(cycles_per_us t) (obs t)
 
-let write_trace t path = Export.write_file path (trace_json t)
+let write_trace t path =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      Export.output_obs_chrome ~cycles_per_us:(cycles_per_us t) (obs t) oc)
 
 let cycles_schema = "cgcsim-cycles-v1"
 

@@ -103,7 +103,13 @@ val print_report : t -> unit
     the {!Cgc_core.Gstats} histograms), components, throughput and
     fence / packet statistics. *)
 
-(** {2 Observability} *)
+(** {2 Observability}
+
+    A traced VM records into per-thread rings of byte-coded columns
+    ({!Cgc_obs.Ring}).  {!trace_json} and {!write_trace} write the
+    Chrome trace straight from those rings in their k-way merge order —
+    into one exact-size string, or streamed to a file — and build no
+    event record. *)
 
 val obs : t -> Cgc_obs.Obs.t
 (** The event sink ({!Cgc_obs.Obs.null} unless [config ~trace:true]). *)
@@ -116,10 +122,14 @@ val trace_json : t -> string
 (** The recorded events as Chrome [trace_event] JSON — open the file in
     [chrome://tracing] or Perfetto.  Deterministic: equal-seed runs
     produce byte-identical output.  Empty event list when tracing is
-    off. *)
+    off.  Written straight from the rings' byte-coded columns
+    ({!Cgc_obs.Export.obs_chrome_json}): a length pass in any order,
+    then one exact-size fill in the rings' k-way merge order. *)
 
 val write_trace : t -> string -> unit
-(** [write_trace t path] writes {!trace_json} to [path]. *)
+(** [write_trace t path] writes {!trace_json}'s bytes to [path], streamed
+    through a small buffer ({!Cgc_obs.Export.output_obs_chrome}), so the
+    trace string is never held in memory. *)
 
 val cycles_schema : string
 (** The [#schema=] tag on per-cycle CSV dumps: ["cgcsim-cycles-v1"]. *)

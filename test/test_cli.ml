@@ -194,6 +194,20 @@ let test_help_lists_exit_codes () =
         (documented_exits help))
     [ "run"; "serve"; "cluster"; "analyze"; "experiment"; "exit-codes" ]
 
+(* The bench harness checks every target name before it runs any: an
+   unknown name fails at once, before a matrix cell starts, and --help
+   lists the targets. *)
+let test_bench_target_names () =
+  let code, stdout, stderr = cgcsim_run ~exe:bench [ "matrix"; "nosuch" ] in
+  check ci "matrix nosuch: usage error" Exit_codes.usage code;
+  check cb "matrix nosuch: message names the target" true
+    (contains stderr "nosuch");
+  check cb "matrix nosuch: no matrix progress line" false
+    (contains stdout "[1/");
+  let code, stdout, _ = cgcsim_run ~exe:bench [ "--help" ] in
+  check ci "--help exits 0" Exit_codes.ok code;
+  check cb "--help lists the targets" true (contains stdout "matrix")
+
 let () =
   Alcotest.run "cli"
     [
@@ -213,5 +227,7 @@ let () =
             test_bad_inputs_exit_usage;
           Alcotest.test_case "help lists the exit codes" `Quick
             test_help_lists_exit_codes;
+          Alcotest.test_case "bench target names checked first" `Quick
+            test_bench_target_names;
         ] );
     ]

@@ -11,6 +11,7 @@ module Obs = Cgc_obs.Obs
 module Export = Cgc_obs.Export
 module Vm = Cgc_runtime.Vm
 module Config = Cgc_core.Config
+module Server = Cgc_server.Server
 
 let check = Alcotest.check
 let cb = Alcotest.bool
@@ -94,12 +95,12 @@ let test_hist_merge () =
 
 (* ----------------------------- Ring ------------------------------ *)
 
-let ev ts = { Event.ts; dur = -1; tid = 0; code = Event.Packet_get; arg = 0 }
+let add_ev r ts = Ring.add_fields r ~ts ~dur:(-1) ~code:Event.Packet_get ~arg:0
 
 let test_ring_keeps_newest () =
-  let r = Ring.create ~capacity:4 in
+  let r = Ring.create ~tid:0 ~capacity:4 in
   for i = 1 to 10 do
-    Ring.add r (ev i)
+    add_ev r i
   done;
   check ci "dropped count" 6 (Ring.dropped r);
   check ci "stored" 4 (Ring.length r);
@@ -107,12 +108,75 @@ let test_ring_keeps_newest () =
   check (Alcotest.list ci) "newest 4, oldest first" [ 7; 8; 9; 10 ] ts
 
 let test_ring_no_overflow () =
-  let r = Ring.create ~capacity:8 in
+  let r = Ring.create ~tid:0 ~capacity:8 in
   for i = 1 to 8 do
-    Ring.add r (ev i)
+    add_ev r i
   done;
   check ci "no loss" 0 (Ring.dropped r);
   check ci "all stored" 8 (Ring.length r)
+
+let fill_ring ~tid ~cap tss =
+  let r = Ring.create ~tid ~capacity:cap in
+  List.iteri
+    (fun i ts ->
+      Ring.add_fields r ~ts ~dur:(i - 1)
+        ~code:(List.nth Event.all_codes (i mod Event.n_codes))
+        ~arg:(i * 7))
+    tss;
+  r
+
+let ring_sorted_view r order =
+  Array.to_list
+    (Array.map
+       (fun s ->
+         {
+           Event.ts = Ring.ts r s;
+           dur = Ring.dur r s;
+           tid = Ring.tid r;
+           code = Event.of_index (Ring.code_index r s);
+           arg = Ring.arg r s;
+         })
+       order)
+
+let ring_order_is_stable_sort_test =
+  (* Timestamps with many ties, negatives and the int extremes; rings
+     that wrap and rings that do not. *)
+  let ts_gen =
+    QCheck.Gen.(
+      oneof [ int; int_range (-3) 3; oneofl [ min_int; max_int; 0; -1 ] ])
+  in
+  QCheck.Test.make
+    ~name:"ring: sorted view is a stable ts-sort of to_list" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list int))
+       QCheck.Gen.(pair (int_range 1 20) (list_size (int_range 0 40) ts_gen)))
+    (fun (cap, tss) ->
+      let r = fill_ring ~tid:5 ~cap tss in
+      let want =
+        List.stable_sort
+          (fun a b -> compare a.Event.ts b.Event.ts)
+          (Ring.to_list r)
+      in
+      let sc = Ring.scratch (Ring.length r) in
+      if ring_sorted_view r (Ring.order r sc) <> want then
+        QCheck.Test.fail_report "sorted view differs";
+      (* cached: a second read gives the same array *)
+      Ring.order r sc == Ring.order r sc)
+
+let ring_growth_bound_test =
+  QCheck.Test.make ~name:"ring: arrays at most max(256, 2k) slots" ~count:200
+    QCheck.(pair (int_range 1 5000) (int_range 0 5000))
+    (fun (cap, k) ->
+      let k = min k cap in
+      let r = Ring.create ~tid:0 ~capacity:cap in
+      let ok = ref (Ring.slots r <= min cap 256) in
+      for i = 1 to k do
+        add_ev r i;
+        ok := !ok && Ring.slots r <= min cap (max 256 (2 * i))
+      done;
+      if not !ok then
+        QCheck.Test.fail_reportf "%d slots after %d of %d" (Ring.slots r) k cap;
+      true)
 
 (* ------------------------------ Obs ------------------------------ *)
 
@@ -359,38 +423,7 @@ let test_untraced_run_emits_nothing () =
   in
   check ci "no events" 0 (Obs.emitted (Vm.obs vm))
 
-(* ---------------- Ring blits and the merged event view ---------------- *)
-
-let ring_blit_matches_iter_test =
-  QCheck.Test.make ~name:"ring: blit_fields agrees with iter" ~count:300
-    QCheck.(pair (int_range 1 20) (small_list small_nat))
-    (fun (cap, tss) ->
-      let r = Ring.create ~capacity:cap in
-      List.iteri
-        (fun i ts ->
-          Ring.add_fields r ~ts ~dur:i ~tid:(i mod 3)
-            ~code:(if i mod 2 = 0 then Event.Cycle_start else Event.Fence_flush)
-            ~arg:(i * 7))
-        tss;
-      let n = Ring.length r in
-      let ts = Array.make (n + 1) (-1)
-      and dur = Array.make (n + 1) (-1)
-      and tid = Array.make (n + 1) (-1)
-      and arg = Array.make (n + 1) (-1) in
-      let code = Array.make (n + 1) Event.Cycle_start in
-      let stop = Ring.blit_fields r ~ts ~dur ~tid ~arg ~code ~pos:0 in
-      if stop <> n then QCheck.Test.fail_reportf "end index %d, want %d" stop n;
-      let i = ref 0 in
-      Ring.iter r (fun e ->
-          if
-            e.Event.ts <> ts.(!i)
-            || e.dur <> dur.(!i)
-            || e.tid <> tid.(!i)
-            || e.arg <> arg.(!i)
-            || e.code <> code.(!i)
-          then QCheck.Test.fail_reportf "field mismatch at %d" !i;
-          incr i);
-      !i = n)
+(* ------------------------ The merged event view ----------------------- *)
 
 let obs_events_array_order_test =
   (* The merged view must be the stable ts-sort of the per-thread streams
@@ -469,6 +502,109 @@ let obs_events_array_full_range_test =
       if got <> expected then QCheck.Test.fail_report "order mismatch";
       true)
 
+(* Once a thread's ring exists, emitting costs no allocation — also
+   when the emitting thread changes on every event, which misses the
+   one-ring cache. *)
+let test_emit_alloc_free () =
+  let o =
+    Obs.create ~ring_capacity:64 ~now:(fun () -> 0) ~tid:(fun () -> 0) ()
+  in
+  let emit n =
+    for i = 1 to n do
+      Obs.instant_host o ~tid:(i land 1) ~ts:i Event.Packet_get
+    done
+  in
+  emit 2;
+  let before = Gc.minor_words () in
+  emit 10_000;
+  let words = Gc.minor_words () -. before in
+  check cf "minor words for 10k emits from alternating tids" 0.0 words;
+  check ci "all recorded" 10_002 (Obs.emitted o)
+
+(* The ring writer must equal the array writer over the same sink, in
+   memory and streamed, for any mix of threads, spans, ties and wraps. *)
+let obs_writers_match_array_writer_test =
+  let ev_gen =
+    QCheck.Gen.(
+      quad (int_range (-1) 3) (int_range 0 60)
+        (oneof [ return (-1); int_range 0 50 ])
+        (int_range 0 (Event.n_codes - 1)))
+  in
+  QCheck.Test.make ~name:"export: ring writers equal the array writer"
+    ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list (quad int int int int))
+       QCheck.Gen.(list_size (int_range 0 60) ev_gen))
+    (fun evs ->
+      let tid = ref 0 in
+      let o =
+        Obs.create ~ring_capacity:8 ~now:(fun () -> 0) ~tid:(fun () -> !tid) ()
+      in
+      List.iteri
+        (fun i (t, ts, dur, k) ->
+          let code = Event.of_index k in
+          if dur < 0 then Obs.instant_host o ~arg:i ~tid:t ~ts code
+          else begin
+            tid := t;
+            Obs.span_at o ~arg:i ~ts ~dur code
+          end)
+        evs;
+      let cycles_per_us = 550.0 in
+      let want =
+        Export.chrome_json ~emitted:(Obs.emitted o) ~dropped:(Obs.dropped o)
+          ~cycles_per_us (Obs.events_array o)
+      in
+      let path = Filename.temp_file "cgc-obs" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path
+            (Export.output_obs_chrome ~cycles_per_us o);
+          let streamed = In_channel.with_open_bin path In_channel.input_all in
+          if Export.obs_chrome_json ~cycles_per_us o <> want then
+            QCheck.Test.fail_report "in-memory ring writer differs";
+          if streamed <> want then
+            QCheck.Test.fail_report "streamed ring writer differs");
+      true)
+
+(* ------------------------- Golden trace --------------------------- *)
+
+(* A small gen-mode server run whose worker rings wrap (dropped > 0) and
+   whose server arrival process records on the synthetic tid -1.  Its
+   trace is committed as [golden_gen.trace.json]; both writers must
+   reproduce it byte for byte, so any change to the recording, ordering
+   or formatting of events shows here. *)
+let golden_vm () =
+  let vm =
+    Vm.create
+      (Vm.config ~heap_mb:4.0 ~ncpus:2 ~seed:11 ~gc:Config.gen ~trace:true
+         ~trace_ring:512 ())
+  in
+  ignore (Server.create (Server.cfg ~rate_per_s:2000.0 ~workers:2 ()) vm);
+  Vm.run vm ~ms:100.0;
+  vm
+
+let test_golden_trace () =
+  let want =
+    In_channel.with_open_bin "golden_gen.trace.json" In_channel.input_all
+  in
+  let vm = golden_vm () in
+  let o = Vm.obs vm in
+  check cb "a ring wrapped" true (Obs.dropped o > 0);
+  check cb "the server's tid -1 ring" true (contains want {|"tid":-1,|});
+  check cb "gen-mode minors" true (contains want {|"name":"minor-done"|});
+  check cb "Vm.trace_json matches the golden trace" true
+    (String.equal (Vm.trace_json vm) want);
+  let path = Filename.temp_file "cgc-golden" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Vm.write_trace vm path;
+      check cb "Vm.write_trace matches the golden trace" true
+        (String.equal
+           (In_channel.with_open_bin path In_channel.input_all)
+           want))
+
 let () =
   Alcotest.run "obs"
     [
@@ -486,7 +622,8 @@ let () =
             test_ring_keeps_newest;
           Alcotest.test_case "no overflow below capacity" `Quick
             test_ring_no_overflow;
-          QCheck_alcotest.to_alcotest ring_blit_matches_iter_test;
+          QCheck_alcotest.to_alcotest ring_order_is_stable_sort_test;
+          QCheck_alcotest.to_alcotest ring_growth_bound_test;
         ] );
       ( "sink",
         [
@@ -496,6 +633,8 @@ let () =
             test_armed_sink_orders_events;
           QCheck_alcotest.to_alcotest obs_events_array_order_test;
           QCheck_alcotest.to_alcotest obs_events_array_full_range_test;
+          Alcotest.test_case "emission allocates nothing" `Quick
+            test_emit_alloc_free;
         ] );
       ( "export",
         [
@@ -508,6 +647,7 @@ let () =
           Alcotest.test_case "event catalogue index" `Quick test_event_index;
           Alcotest.test_case "merge cache invalidation" `Quick
             test_merge_cache_invalidation;
+          QCheck_alcotest.to_alcotest obs_writers_match_array_writer_test;
         ] );
       ( "end-to-end",
         [
@@ -516,5 +656,6 @@ let () =
           Alcotest.test_case "gc phases present" `Slow test_trace_has_gc_phases;
           Alcotest.test_case "zero-cost when off" `Slow
             test_untraced_run_emits_nothing;
+          Alcotest.test_case "golden gen-mode trace" `Quick test_golden_trace;
         ] );
     ]

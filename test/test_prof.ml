@@ -295,6 +295,32 @@ let test_export_alloc_budget () =
     Alcotest.failf "Vm.trace_json allocated %.1f minor words/event (budget 16)"
       per_event
 
+(* Streaming export cost: [Vm.write_trace] formats into a small
+   reusable buffer, so what it allocates is the rings' timestamp orders
+   (one word an event), the sort workspace (at most one word an event)
+   and constants — never the trace.  Counted over both heaps, since the
+   orders are large enough to be allocated in the major heap directly. *)
+let test_write_trace_alloc_budget () =
+  let vm = traced_vm () in
+  let events = Obs.emitted (Vm.obs vm) in
+  let path = Filename.temp_file "cgc-trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let words () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      let before = words () in
+      Vm.write_trace vm path;
+      let per_event = (words () -. before) /. float_of_int events in
+      check cb "a real trace" true (events > 10_000);
+      check cb "the file holds Vm.trace_json's bytes" true
+        (In_channel.with_open_bin path In_channel.input_all = Vm.trace_json vm);
+      if per_event > 2.0 then
+        Alcotest.failf "Vm.write_trace allocated %.2f words/event (budget 2)"
+          per_event)
+
 (* The analysis tallies per-code counts and the trace bounds in flat
    arrays and int refs; they must equal the straightforward hash-table
    and tuple folds bit for bit, and the list and array entry points
@@ -451,6 +477,8 @@ let () =
             test_chrome_roundtrip_real_trace;
           Alcotest.test_case "export allocation budget" `Slow
             test_export_alloc_budget;
+          Alcotest.test_case "write_trace allocation budget" `Slow
+            test_write_trace_alloc_budget;
           Alcotest.test_case "analysis tallies vs reference folds" `Slow
             test_analysis_tallies_reference;
           Alcotest.test_case "foreign schema rejected" `Quick
